@@ -43,7 +43,7 @@
 use std::time::Instant;
 
 use cluster::{ClusterSpec, FaultPlan, MachineSpec};
-use mt_bench::header;
+use mt_bench::{header, Cli};
 use workloads::{partition_plan, sort_job, straggler_plan, sweep_plan, SortConfig};
 
 const MACHINES: usize = 5;
@@ -51,6 +51,10 @@ const GIB_PER_MACHINE: f64 = 2.0;
 const SEED: u64 = 42;
 
 const DEFAULT_POINTS: &[f64] = &[0.0, 0.5, 1.0, 2.0];
+
+const USAGE: &str = "\
+usage: fault_sweep [--matrix | --partitions] [--out PATH] [--points 0,0.5,1,2]
+                   [--check BASELINE.json --max-factor 2.0]";
 
 struct Point {
     engine: &'static str,
@@ -257,30 +261,21 @@ fn parse_args() -> Args {
         matrix: false,
         partitions: false,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value"));
-        match a.as_str() {
-            "--out" => args.out = Some(value("--out")),
+    let mut cli = Cli::from_env(USAGE);
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--out" => args.out = Some(cli.value(&flag)),
             "--matrix" => args.matrix = true,
             "--partitions" => args.partitions = true,
-            "--points" => {
-                args.points = value("--points")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("bad --points entry"))
-                    .collect();
-            }
-            "--check" => args.check = Some(value("--check")),
-            "--max-factor" => {
-                args.max_factor = value("--max-factor").parse().expect("bad --max-factor")
-            }
-            other => panic!("unknown argument: {other}"),
+            "--points" => args.points = cli.list(&flag),
+            "--check" => args.check = Some(cli.value(&flag)),
+            "--max-factor" => args.max_factor = cli.value(&flag),
+            other => cli.fail(format!("unknown argument: {other}")),
         }
     }
-    assert!(
-        !(args.matrix && args.partitions),
-        "--matrix and --partitions are mutually exclusive"
-    );
+    if args.matrix && args.partitions {
+        cli.fail("--matrix and --partitions are mutually exclusive");
+    }
     args
 }
 

@@ -58,13 +58,21 @@ use std::time::Instant;
 
 use cluster::{ClusterSpec, MachineSpec};
 use dataflow::{BlockMap, JobSpec};
-use mt_bench::header;
+use mt_bench::{header, Cli};
 use workloads::{bdb_job, sort_job, BdbQuery, SortConfig};
 
 /// GiB of sort input per machine (weak scaling).
 const GIB_PER_MACHINE: f64 = 2.0;
 
 const DEFAULT_POINTS: &[usize] = &[5, 20, 50, 100, 200, 400];
+
+const USAGE: &str = "\
+usage: scale_sweep [--out PATH] [--points 5,20,50] [--workload sort|bdb]
+                   [--epsilon 0,0.01] [--quantum-ms 0,1] [--templates on,off]
+                   [--racks SIZE] [--oversub F] [--shards 1,8]
+                   [--tasks-per-machine N]
+                   [--check BASELINE.json --max-factor 2.0 --max-drift PCT]
+                   [--max-control SECS]";
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Workload {
@@ -273,70 +281,40 @@ fn parse_args() -> Args {
         max_drift: None,
         max_control: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value"));
-        match a.as_str() {
-            "--out" => args.out = value("--out"),
-            "--points" => {
-                args.points = value("--points")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("bad --points entry"))
-                    .collect();
-            }
+    let mut cli = Cli::from_env(USAGE);
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--out" => args.out = cli.value(&flag),
+            "--points" => args.points = cli.list(&flag),
             "--workload" => {
-                args.workload = match value("--workload").as_str() {
+                args.workload = match cli.value::<String>(&flag).as_str() {
                     "sort" => Workload::Sort,
                     "bdb" => Workload::Bdb,
-                    other => panic!("unknown workload: {other}"),
+                    other => cli.fail(format!("unknown workload: {other}")),
                 };
             }
-            "--epsilon" => {
-                args.epsilons = value("--epsilon")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("bad --epsilon entry"))
-                    .collect();
-            }
-            "--quantum-ms" => {
-                args.quantums_ms = value("--quantum-ms")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("bad --quantum-ms entry"))
-                    .collect();
-            }
+            "--epsilon" => args.epsilons = cli.list(&flag),
+            "--quantum-ms" => args.quantums_ms = cli.list(&flag),
             "--templates" => {
-                args.templates = value("--templates")
-                    .split(',')
-                    .map(|s| match s.trim() {
+                args.templates = cli
+                    .list::<String>(&flag)
+                    .iter()
+                    .map(|s| match s.as_str() {
                         "on" | "true" => true,
                         "off" | "false" => false,
-                        other => panic!("bad --templates entry: {other}"),
+                        other => cli.fail(format!("bad --templates entry: {other}")),
                     })
                     .collect();
             }
-            "--racks" => args.racks = value("--racks").parse().expect("bad --racks"),
-            "--oversub" => args.oversub = value("--oversub").parse().expect("bad --oversub"),
-            "--shards" => {
-                args.shards = value("--shards")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("bad --shards entry"))
-                    .collect();
-            }
-            "--tasks-per-machine" => {
-                args.tasks_per_machine = value("--tasks-per-machine")
-                    .parse()
-                    .expect("bad --tasks-per-machine")
-            }
-            "--check" => args.check = Some(value("--check")),
-            "--max-factor" => {
-                args.max_factor = value("--max-factor").parse().expect("bad --max-factor")
-            }
-            "--max-drift" => {
-                args.max_drift = Some(value("--max-drift").parse().expect("bad --max-drift"))
-            }
-            "--max-control" => {
-                args.max_control = Some(value("--max-control").parse().expect("bad --max-control"))
-            }
-            other => panic!("unknown argument: {other}"),
+            "--racks" => args.racks = cli.value(&flag),
+            "--oversub" => args.oversub = cli.value(&flag),
+            "--shards" => args.shards = cli.list(&flag),
+            "--tasks-per-machine" => args.tasks_per_machine = cli.value(&flag),
+            "--check" => args.check = Some(cli.value(&flag)),
+            "--max-factor" => args.max_factor = cli.value(&flag),
+            "--max-drift" => args.max_drift = Some(cli.value(&flag)),
+            "--max-control" => args.max_control = Some(cli.value(&flag)),
+            other => cli.fail(format!("unknown argument: {other}")),
         }
     }
     args

@@ -18,11 +18,15 @@
 use std::path::PathBuf;
 
 use cluster::{ClusterSpec, FaultPlan, MachineSpec};
-use mt_bench::header;
+use mt_bench::{header, Cli};
 use mt_trace::{validate_chrome_json, TraceSummary};
 use workloads::{sort_job, sweep_plan, SortConfig};
 
 const SEED: u64 = 42;
+
+const USAGE: &str = "\
+usage: trace_export [--machines N] [--gib-per-machine G] [--engine mono|spark|both]
+                    [--points 0,1] [--out PATH] [--validate] [--explain]";
 
 struct Args {
     machines: usize,
@@ -44,36 +48,25 @@ fn parse_args() -> Args {
         validate: false,
         explain: false,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--machines" => {
-                args.machines = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--machines N");
-            }
-            "--gib-per-machine" => {
-                args.gib_per_machine = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--gib-per-machine G");
-            }
+    let mut cli = Cli::from_env(USAGE);
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--machines" => args.machines = cli.value(&flag),
+            "--gib-per-machine" => args.gib_per_machine = cli.value(&flag),
             "--engine" => {
-                args.engine = it.next().expect("--engine mono|spark|both");
+                args.engine = cli.value(&flag);
+                if !matches!(args.engine.as_str(), "mono" | "spark" | "both") {
+                    cli.fail(format!(
+                        "unknown engine {:?} (mono|spark|both)",
+                        args.engine
+                    ));
+                }
             }
-            "--points" => {
-                args.points = it
-                    .next()
-                    .expect("--points list")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("numeric intensity"))
-                    .collect();
-            }
-            "--out" => args.out = Some(PathBuf::from(it.next().expect("--out PATH"))),
+            "--points" => args.points = cli.list(&flag),
+            "--out" => args.out = Some(cli.value::<String>(&flag).into()),
             "--validate" => args.validate = true,
             "--explain" => args.explain = true,
-            other => panic!("unknown argument {other:?}"),
+            other => cli.fail(format!("unknown argument {other:?}")),
         }
     }
     args
@@ -266,6 +259,6 @@ fn main() {
             run_mono(&args);
             run_spark(&args);
         }
-        other => panic!("unknown engine {other:?} (mono|spark|both)"),
+        _ => unreachable!("engine validated by parse_args"),
     }
 }

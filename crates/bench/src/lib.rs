@@ -38,6 +38,65 @@ pub fn run_spark(
     )
 }
 
+/// Command-line flags of a bench binary, consumed front to back.
+///
+/// User input never panics: `--help` prints the usage and exits 0; an
+/// unknown flag, a missing value, or a malformed value prints the problem
+/// and the usage to stderr and exits 2.
+pub struct Cli {
+    usage: &'static str,
+    args: std::vec::IntoIter<String>,
+}
+
+impl Cli {
+    /// The process arguments (without the program name).
+    pub fn from_env(usage: &'static str) -> Cli {
+        Cli {
+            usage,
+            args: std::env::args().skip(1).collect::<Vec<_>>().into_iter(),
+        }
+    }
+
+    /// The next flag, or `None` when the arguments are exhausted. Handles
+    /// `--help` / `-h` itself.
+    pub fn next_flag(&mut self) -> Option<String> {
+        let flag = self.args.next()?;
+        if flag == "--help" || flag == "-h" {
+            println!("{}", self.usage);
+            std::process::exit(0);
+        }
+        Some(flag)
+    }
+
+    /// The value following `flag`, parsed.
+    pub fn value<T: std::str::FromStr>(&mut self, flag: &str) -> T {
+        let Some(raw) = self.args.next() else {
+            self.fail(format!("{flag} needs a value"));
+        };
+        raw.trim()
+            .parse()
+            .unwrap_or_else(|_| self.fail(format!("bad value for {flag}: {raw:?}")))
+    }
+
+    /// The comma-separated list following `flag`, each entry parsed.
+    pub fn list<T: std::str::FromStr>(&mut self, flag: &str) -> Vec<T> {
+        let raw: String = self.value(flag);
+        raw.split(',')
+            .map(|s| {
+                s.trim()
+                    .parse()
+                    .unwrap_or_else(|_| self.fail(format!("bad entry in {flag}: {s:?}")))
+            })
+            .collect()
+    }
+
+    /// Reports a usage error and exits with status 2.
+    pub fn fail(&self, msg: impl std::fmt::Display) -> ! {
+        eprintln!("error: {msg}\n\n{}", self.usage);
+        std::process::exit(2);
+    }
+}
+
 /// Relative difference `(b - a) / a` in percent.
 pub fn pct_diff(a: f64, b: f64) -> f64 {
     100.0 * (b - a) / a

@@ -891,6 +891,102 @@ impl FluidMachine {
     }
 }
 
+/// Every machine's [`FluidMachine`] plus a per-machine next-completion
+/// cache keyed on the allocator epoch.
+///
+/// Most events touch a handful of machines. A machine whose epoch did not
+/// move since its deadline was cached keeps that deadline, so the completion
+/// sweep and the next-event scan cost scales with the machines that changed,
+/// not with the cluster size. Bit-identical to querying every allocator: the
+/// cache only skips recomputing a value the allocator would return unchanged.
+#[derive(Debug)]
+pub struct FluidCluster {
+    machines: Vec<FluidMachine>,
+    next: Vec<Option<SimTime>>,
+    epoch: Vec<u64>,
+}
+
+impl FluidCluster {
+    /// `n` idle machines of the same hardware.
+    pub fn new(n: usize, spec: &MachineSpec) -> FluidCluster {
+        FluidCluster {
+            machines: (0..n).map(|_| FluidMachine::new(spec.clone())).collect(),
+            next: vec![None; n],
+            epoch: vec![u64::MAX; n],
+        }
+    }
+
+    /// Every allocator, in machine order.
+    pub fn iter(&self) -> std::slice::Iter<'_, FluidMachine> {
+        self.machines.iter()
+    }
+
+    /// Opens a [`FluidMachine::begin_update`] batch on every machine.
+    pub fn begin_update_all(&mut self) {
+        for m in &mut self.machines {
+            m.begin_update();
+        }
+    }
+
+    /// Commits every machine's batch, reallocating the dirty ones once.
+    pub fn commit_all(&mut self, now: SimTime) {
+        for m in &mut self.machines {
+            m.commit(now);
+        }
+    }
+
+    /// Drains machine `m`'s completions due at `now` into `done` and returns
+    /// true, or returns false without touching `done` when the cached
+    /// deadline (still valid: same epoch) lies in the future.
+    pub fn poll_completed(&mut self, m: usize, now: SimTime, done: &mut Vec<StreamId>) -> bool {
+        let fluid = &mut self.machines[m];
+        if self.epoch[m] == fluid.epoch() && self.next[m].is_none_or(|t| t > now) {
+            return false;
+        }
+        fluid.advance(now);
+        fluid.take_completed_into(now, done);
+        true
+    }
+
+    /// Earliest next completion over the machines `live` admits. Only
+    /// machines whose epoch moved since the last call re-derive their
+    /// deadline.
+    pub fn next_completion(
+        &mut self,
+        now: SimTime,
+        live: impl Fn(usize) -> bool,
+    ) -> Option<SimTime> {
+        let mut next: Option<SimTime> = None;
+        for (m, fluid) in self.machines.iter_mut().enumerate() {
+            if !live(m) {
+                continue;
+            }
+            let epoch = fluid.epoch();
+            if self.epoch[m] != epoch {
+                self.next[m] = fluid.next_completion(now);
+                self.epoch[m] = epoch;
+            }
+            if let Some(t) = self.next[m] {
+                next = Some(next.map_or(t, |b| b.min(t)));
+            }
+        }
+        next
+    }
+}
+
+impl std::ops::Index<usize> for FluidCluster {
+    type Output = FluidMachine;
+    fn index(&self, m: usize) -> &FluidMachine {
+        &self.machines[m]
+    }
+}
+
+impl std::ops::IndexMut<usize> for FluidCluster {
+    fn index_mut(&mut self, m: usize) -> &mut FluidMachine {
+        &mut self.machines[m]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

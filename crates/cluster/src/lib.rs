@@ -30,6 +30,6 @@ pub mod trace;
 
 pub use cache::{BufferCache, CachePolicy, WriteOutcome};
 pub use faults::{FaultAction, FaultEvent, FaultPlan, FaultSpec, FaultTimeline};
-pub use fluid::{DiskId, FluidMachine, MachineId, StreamDemand, StreamId};
+pub use fluid::{DiskId, FluidCluster, FluidMachine, MachineId, StreamDemand, StreamId};
 pub use hw::{ClusterSpec, DiskKind, DiskSpec, MachineSpec, RackTopology};
 pub use trace::{ClassMeans, InstantKind, ResourceSel, RunInstant, TraceSet};

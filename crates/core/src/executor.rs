@@ -14,15 +14,15 @@
 //! ([`crate::scheduler`]); completed monotasks release their dependents. All
 //! timing flows into [`MonotaskRecord`]s.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use cluster::{
-    ClusterSpec, FaultAction, FaultPlan, FaultTimeline, FluidMachine, MachineId, ResourceSel,
-    StreamDemand, StreamId, TraceSet,
+    ClusterSpec, FaultAction, FaultPlan, FaultTimeline, FluidCluster, InstantKind, MachineId,
+    ResourceSel, StreamDemand, StreamId, TraceSet,
 };
 use dataflow::{
-    BlockMap, InputSpec, JobId, JobReport, JobSpec, OutputSpec, RecoveryStats, RunError,
-    StageControlStats, StageId, StageReport, TaskId, TaskSpec,
+    BlockMap, HostFn, InputSpec, JobId, JobPlane, JobReport, JobSpec, OutputSpec, RecoveryPolicy,
+    RunError, StageControlStats, StageId, TaskId, TaskSpec,
 };
 use simcore::stats::median;
 use simcore::{EventQueue, Fabric, FlowAllocator, FlowId, HierFabric, MaxMinPolicy};
@@ -157,7 +157,7 @@ pub struct MonoConfig {
     pub per_machine_duration_pools: bool,
     /// Arm the performance-clarity trace layer and name where its
     /// Perfetto-loadable Chrome Trace Event JSON should be written. `Some`
-    /// collects one [`dataflow::RunInstant`] per fault firing and recovery
+    /// collects one [`cluster::RunInstant`] per fault firing and recovery
     /// decision into [`MonoRunOutput::instants`]; the `mt-trace` crate's
     /// `export_mono` (or the `trace_export` bench bin) then serializes the
     /// run to this path. Collection is observation-only: `None` — the
@@ -339,6 +339,33 @@ struct MonoNode {
     parked_bytes: Option<f64>,
 }
 
+impl MonoNode {
+    /// A fresh, unqueued node of `op` for `purpose`, created at `now`.
+    fn new(op: MonoOp, purpose: Purpose, now: SimTime) -> MonoNode {
+        MonoNode {
+            op,
+            purpose,
+            deps_remaining: 0,
+            dependent: None,
+            queued: now,
+            started: now,
+            serve_queued: now,
+            serve_started: now,
+            net_phase: NetPhase::Waiting,
+            done: false,
+            running: false,
+            cancelled: false,
+            copy: None,
+            copy_of: None,
+            spec_wake_at: None,
+            stall_since: None,
+            stall_deadline: None,
+            fetch_retries: 0,
+            parked_bytes: None,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct MtState {
     key: MultitaskKey,
@@ -364,55 +391,21 @@ struct MtState {
     straggle: Option<f64>,
 }
 
-#[derive(Debug)]
-struct StageRun {
-    ready: bool,
-    done: bool,
-    total: usize,
-    completed: usize,
-    /// Pending tasks preferring each machine.
-    by_pref: Vec<Vec<u32>>,
-    /// Pending tasks with no locality preference.
-    nopref: Vec<u32>,
-    started: Option<SimTime>,
-    ended: Option<SimTime>,
-    /// Shuffle bytes produced on each machine by completed tasks.
-    shuffle_by_machine: Vec<f64>,
-    /// Whether this stage's shuffle output stays in memory.
-    shuffle_in_memory: bool,
-    /// Pending queues have been filled once; a stage re-opened after a crash
-    /// resumes with its surviving queue contents instead of repopulating.
-    populated: bool,
-    /// Completed task ids per machine (fault runs only) — the lineage index:
-    /// exactly the tasks to re-run when that machine's outputs are lost.
-    completed_on: Vec<Vec<u32>>,
-    /// Bumped whenever `shuffle_by_machine` changes. Consumer-stage templates
-    /// record the epochs they captured and revalidate at instantiation.
+/// Monotask-engine state of one stage, alongside the shared job plane's.
+#[derive(Debug, Default)]
+struct MonoStage {
+    /// Bumped whenever the stage's `shuffle_by_machine` changes.
+    /// Consumer-stage templates record the epochs they captured and
+    /// revalidate at instantiation.
     shuffle_epoch: u64,
     /// Host-wall control cost of scheduling this stage's tasks.
     control: StageControlStats,
-    /// When this stage's pending tasks first had no placement satisfying the
-    /// partition reachability gate (partition runs only).
-    gate_blocked_since: Option<SimTime>,
-    /// Next timeout expiry for the gate blockage.
-    gate_deadline: Option<SimTime>,
-    /// Retry decisions spent waiting out the gate blockage.
-    gate_retries: u32,
-}
-
-#[derive(Debug)]
-struct JobRun {
-    id: JobId,
-    spec: JobSpec,
-    blocks: BlockMap,
-    stages: Vec<StageRun>,
-    done: bool,
-    end: SimTime,
-    recovery: RecoveryStats,
+    /// Captured control decisions (`None` until the stage's first
+    /// shuffle-input task launches, and after invalidation).
+    template: Option<StageTemplate>,
 }
 
 struct Mach {
-    fluid: FluidMachine,
     sched: MachineScheduler,
     assigned: usize,
     write_cursor: usize,
@@ -420,16 +413,19 @@ struct Mach {
     /// Bytes of monotask buffers currently in memory.
     buffered: f64,
     peak_buffered: f64,
-    /// False once crashed: the machine is a zombie — its allocator is never
-    /// polled again, its queues never popped, and it takes no assignments.
-    alive: bool,
 }
 
 struct Exec {
     cfg: MonoConfig,
     target: usize,
     machines: Vec<Mach>,
-    jobs: Vec<JobRun>,
+    /// Every machine's allocator. A crashed machine's is a zombie: never
+    /// polled again, its queues never popped, and it takes no assignments.
+    fluids: FluidCluster,
+    /// Stage bookkeeping, lineage recovery and the partition gate.
+    plane: JobPlane,
+    /// Monotask-engine state per `[job][stage]`.
+    mono_stages: Vec<Vec<MonoStage>>,
     mts: Vec<MtState>,
     records: Vec<MonotaskRecord>,
     traces: TraceSet,
@@ -439,7 +435,6 @@ struct Exec {
     /// cluster declares a rack topology.
     fabric: Option<Fabric>,
     now: SimTime,
-    rr_job: usize,
     stats: SimStats,
     /// Compiled fault schedule.
     faults: FaultTimeline,
@@ -447,11 +442,6 @@ struct Exec {
     /// fault hook off the hot path, so an empty plan is bit-identical to the
     /// plan-free code.
     faults_on: bool,
-    /// Attempt count per `[job][stage][task]` (0 = only the original ran).
-    attempts: Vec<Vec<Vec<u32>>>,
-    /// Tasks whose next launch is a lineage recomputation (only ever
-    /// membership-tested; iteration order never observed).
-    recompute_pending: HashSet<(usize, usize, usize)>,
     /// Whether monotask-level speculation is active this run. False keeps
     /// every speculation hook off the hot path, so disabled runs are
     /// bit-identical to builds predating the feature.
@@ -465,13 +455,6 @@ struct Exec {
     /// Whether the execution-template layer is active
     /// (`cfg.execution_templates`).
     templates_on: bool,
-    /// Captured control decisions per `[job][stage]` (`None` until the
-    /// stage's first shuffle-input task launches).
-    templates: Vec<Vec<Option<StageTemplate>>>,
-    /// Total entries across every stage's pending queues. Zero lets the
-    /// assignment sweep skip its per-machine × per-stage scan outright —
-    /// most events during a stage's steady state assign nothing.
-    pending_tasks: usize,
     /// Scratch placement context reused across launches (untemplated path).
     scratch_ctx: DecomposeCtx,
     /// Scratch DAG reused by the untemplated decompose path.
@@ -481,23 +464,10 @@ struct Exec {
     /// path, so partition-free runs are bit-identical to builds predating the
     /// feature.
     partitions_on: bool,
-    /// Directed (sender, receiver) pairs currently cut.
-    cut_pairs: HashSet<(usize, usize)>,
-    /// Deterministic wake-ups at stall-timeout / backoff expiries.
-    fetch_timers: EventQueue<()>,
-    /// Machines recovery declared unreachable from the majority: they take no
-    /// assignments until a heal touches them, so lineage re-runs land on
-    /// machines whose output the consumers can actually fetch.
-    quarantined: Vec<bool>,
     /// Per-(job, stage, purpose, machine) duration populations, used instead
     /// of `durations` when `cfg.per_machine_duration_pools` — fetch samples
     /// key by the *sender*, everything else by the serving machine.
     durations_pm: BTreeMap<(u32, u32, Purpose, u32), Vec<f64>>,
-    /// Whether `cfg.trace_path` armed the trace layer's instant collection.
-    trace_on: bool,
-    /// Timestamped fault and recovery instants, in emission order
-    /// (observation-only; empty unless `trace_on`).
-    instants: Vec<cluster::RunInstant>,
 }
 
 /// Encodes a `(multitask, node)` reference as a fluid stream id.
@@ -516,6 +486,37 @@ fn res_index(op: &MonoOp) -> usize {
         MonoOp::Compute { .. } => dataflow::RES_CPU,
         MonoOp::DiskRead { .. } | MonoOp::DiskWrite { .. } => dataflow::RES_DISK,
         MonoOp::NetFetch { .. } => dataflow::RES_NET,
+    }
+}
+
+/// The partition gate of the monotasks engine: whether machine `m` could
+/// actually get the input data of task `(ji, si, ti)` across the current
+/// cuts. A disk task needs its block's home (or a live replica holder)
+/// reachable; a shuffle task needs every producing machine reachable. Crash
+/// recovery deliberately stays out of this gate — dead senders are handled
+/// by the lineage path, and partition-free runs never call it.
+fn can_host(plane: &JobPlane, m: usize, ji: usize, si: usize, ti: usize) -> bool {
+    let job = &plane.jobs[ji];
+    let cut = &plane.cut_pairs;
+    match job.spec.stages[si].tasks[ti].input {
+        InputSpec::DiskBlock { block, .. } => {
+            let home = job.blocks.machine_of(block);
+            m == home
+                || !cut.contains(&(home, m))
+                || job
+                    .blocks
+                    .extra_replicas(block)
+                    .iter()
+                    .any(|&(rm, _)| rm == m || (plane.alive[rm] && !cut.contains(&(rm, m))))
+        }
+        InputSpec::ShuffleFetch { .. } => job.spec.stages[si].deps.iter().all(|d| {
+            job.stages[d.0 as usize]
+                .shuffle_by_machine
+                .iter()
+                .enumerate()
+                .all(|(s, &b)| b <= 0.0 || s == m || !cut.contains(&(s, m)))
+        }),
+        InputSpec::Memory { .. } | InputSpec::None => true,
     }
 }
 
@@ -606,7 +607,6 @@ pub fn run_with_faults(
 
     let machines = (0..n_machines)
         .map(|_| Mach {
-            fluid: FluidMachine::new(cluster.machine.clone()),
             sched: MachineScheduler::new(
                 cluster.machine.cores as usize,
                 &disk_slots,
@@ -618,65 +618,31 @@ pub fn run_with_faults(
             serve_cursor: 0,
             buffered: 0.0,
             peak_buffered: 0.0,
-            alive: true,
         })
         .collect();
-
-    let job_runs = jobs
-        .iter()
-        .enumerate()
-        .map(|(ji, (spec, blocks))| {
-            let stages = spec
-                .stages
-                .iter()
-                .map(|st| {
-                    let shuffle_in_memory = st.tasks.iter().any(|t| {
-                        matches!(
-                            t.output,
-                            OutputSpec::ShuffleWrite {
-                                in_memory: true,
-                                ..
-                            }
-                        )
-                    });
-                    StageRun {
-                        ready: false,
-                        done: false,
-                        total: st.tasks.len(),
-                        completed: 0,
-                        by_pref: vec![Vec::new(); n_machines],
-                        nopref: Vec::new(),
-                        started: None,
-                        ended: None,
-                        shuffle_by_machine: vec![0.0; n_machines],
-                        shuffle_in_memory,
-                        populated: false,
-                        completed_on: vec![Vec::new(); n_machines],
-                        shuffle_epoch: 0,
-                        control: StageControlStats::default(),
-                        gate_blocked_since: None,
-                        gate_deadline: None,
-                        gate_retries: 0,
-                    }
-                })
-                .collect();
-            JobRun {
-                id: JobId(ji as u32),
-                spec: spec.clone(),
-                blocks: blocks.clone(),
-                stages,
-                done: false,
-                end: SimTime::ZERO,
-                recovery: RecoveryStats::default(),
-            }
-        })
-        .collect();
+    let policy = RecoveryPolicy {
+        max_task_retries: cfg.max_task_retries,
+        fetch_timeout_secs: cfg.fetch_timeout_secs,
+        fetch_max_retries: cfg.fetch_max_retries,
+        fetch_backoff_base_secs: cfg.fetch_backoff_base_secs,
+    };
 
     let mut exec = Exec {
         cfg: cfg.clone(),
         target,
         machines,
-        jobs: job_runs,
+        fluids: FluidCluster::new(n_machines, &cluster.machine),
+        plane: JobPlane::new(
+            jobs,
+            n_machines,
+            policy,
+            !plan.is_empty(),
+            cfg.trace_path.is_some(),
+        ),
+        mono_stages: jobs
+            .iter()
+            .map(|(spec, _)| spec.stages.iter().map(|_| MonoStage::default()).collect())
+            .collect(),
         mts: Vec::new(),
         records: Vec::new(),
         traces: TraceSet::new(),
@@ -711,40 +677,18 @@ pub fn run_with_faults(
             None
         },
         now: SimTime::ZERO,
-        rr_job: 0,
         stats: SimStats::new(),
         faults: plan.compile(),
         faults_on: !plan.is_empty(),
-        attempts: jobs
-            .iter()
-            .map(|(spec, _)| {
-                spec.stages
-                    .iter()
-                    .map(|st| vec![0; st.tasks.len()])
-                    .collect()
-            })
-            .collect(),
-        recompute_pending: HashSet::new(),
         spec_on: cfg.mono_speculation_multiplier.is_some(),
         durations: BTreeMap::new(),
         spec_timers: EventQueue::new(),
         templates_on: cfg.execution_templates,
-        templates: jobs
-            .iter()
-            .map(|(spec, _)| vec![None; spec.stages.len()])
-            .collect(),
-        pending_tasks: 0,
         scratch_ctx: DecomposeCtx::default(),
         scratch_dag: MonotaskDag::default(),
         partitions_on: plan.has_partitions(),
-        cut_pairs: HashSet::new(),
-        fetch_timers: EventQueue::new(),
-        quarantined: vec![false; n_machines],
         durations_pm: BTreeMap::new(),
-        trace_on: cfg.trace_path.is_some(),
-        instants: Vec::new(),
     };
-    exec.prime();
     exec.main_loop()?;
     Ok(exec.into_output())
 }
@@ -754,66 +698,6 @@ impl Exec {
         self.machines.len()
     }
 
-    /// Records a trace instant at the current simulated time. Pushes to a
-    /// side Vec only — never touches scheduler state — so traced runs stay
-    /// bit-identical to untraced ones.
-    fn emit_instant(&mut self, kind: cluster::InstantKind) {
-        if self.trace_on {
-            self.instants.push(cluster::RunInstant {
-                time: self.now,
-                kind,
-            });
-        }
-    }
-
-    /// Marks root stages ready and populates their pending queues.
-    fn prime(&mut self) {
-        for ji in 0..self.jobs.len() {
-            for si in 0..self.jobs[ji].spec.stages.len() {
-                if self.jobs[ji].spec.stages[si].deps.is_empty() {
-                    self.make_stage_ready(ji, si);
-                }
-            }
-        }
-    }
-
-    fn make_stage_ready(&mut self, ji: usize, si: usize) {
-        let n_machines = self.n_machines();
-        let job = &mut self.jobs[ji];
-        let stage_spec = &job.spec.stages[si];
-        let run = &mut job.stages[si];
-        debug_assert!(!run.ready);
-        run.ready = true;
-        if run.populated {
-            // Re-opened after a crash un-did an upstream stage: the pending
-            // queues already hold exactly the unfinished tasks (survivors of
-            // the first fill plus crash re-queues) — refilling would duplicate
-            // them.
-            return;
-        }
-        run.populated = true;
-        self.pending_tasks += stage_spec.tasks.len();
-        for (ti, task) in stage_spec.tasks.iter().enumerate() {
-            match task.input {
-                InputSpec::DiskBlock { block, .. } => {
-                    let m = job.blocks.machine_of(block);
-                    run.by_pref[m].push(ti as u32);
-                }
-                InputSpec::Memory { .. } => {
-                    run.by_pref[ti % n_machines].push(ti as u32);
-                }
-                InputSpec::None | InputSpec::ShuffleFetch { .. } => {
-                    run.nopref.push(ti as u32);
-                }
-            }
-        }
-        // Queues are popped from the back; reverse so low task ids go first.
-        for q in &mut run.by_pref {
-            q.reverse();
-        }
-        run.nopref.reverse();
-    }
-
     fn main_loop(&mut self) -> Result<(), RunError> {
         let loop_timer = std::time::Instant::now();
         let mut steps: u64 = 0;
@@ -821,13 +705,6 @@ impl Exec {
         // per allocator per event and must not allocate.
         let mut done_flows: Vec<FlowId> = Vec::new();
         let mut done_streams: Vec<StreamId> = Vec::new();
-        // Per-machine next-completion cache keyed on the allocator epoch.
-        // Most events touch a handful of machines; the rest keep their cached
-        // deadline, so the per-event sweep and the speculative completion
-        // poll stop interrogating every allocator on every event.
-        let n_machines = self.n_machines();
-        let mut next_cache: Vec<Option<SimTime>> = vec![None; n_machines];
-        let mut epoch_cache: Vec<u64> = vec![u64::MAX; n_machines];
         loop {
             // One batch per event instant: the completion wave (empty on the
             // first iteration), then dispatch to fixpoint — assignment opens
@@ -836,7 +713,10 @@ impl Exec {
             // allocator reallocates once per event instead of once for the
             // completions and again for the dispatches; the intermediate
             // fixpoint between the two waves is never observed by handlers.
-            self.begin_update_all();
+            self.fluids.begin_update_all();
+            if let Some(fabric) = &mut self.fabric {
+                fabric.begin_update();
+            }
             // Fault actions fire first within their instant: a crash at `t`
             // wins against completions at `t`, deterministically.
             if self.faults_on {
@@ -861,17 +741,11 @@ impl Exec {
                 }
             }
             for m in 0..self.n_machines() {
-                if !self.machines[m].alive {
+                if !self.plane.alive[m]
+                    || !self.fluids.poll_completed(m, self.now, &mut done_streams)
+                {
                     continue;
                 }
-                // A machine whose cached deadline (still valid: same epoch)
-                // lies in the future cannot have a completion due now.
-                let fluid = &mut self.machines[m].fluid;
-                if epoch_cache[m] == fluid.epoch() && next_cache[m].is_none_or(|t| t > self.now) {
-                    continue;
-                }
-                fluid.advance(self.now);
-                fluid.take_completed_into(self.now, &mut done_streams);
                 for &sid in &done_streams {
                     let (mt, node) = decode(sid);
                     self.on_stream_done(mt, node);
@@ -888,22 +762,23 @@ impl Exec {
                 }
             }
             if self.partitions_on {
-                self.arm_gate_timers();
+                self.plane.arm_gate_timers(self.now, &can_host);
             }
-            self.commit_all(self.now);
+            self.fluids.commit_all(self.now);
             if let Some(fabric) = &mut self.fabric {
+                fabric.commit(self.now);
                 fabric.advance(self.now);
             }
             for m in 0..self.n_machines() {
-                if !self.machines[m].alive {
+                if !self.plane.alive[m] {
                     continue;
                 }
-                self.machines[m].fluid.advance(self.now);
+                self.fluids[m].advance(self.now);
                 if !self.cfg.collect_traces {
                     continue;
                 }
                 self.traces
-                    .snapshot(self.now, MachineId(m), &self.machines[m].fluid);
+                    .snapshot(self.now, MachineId(m), &self.fluids[m]);
                 if let Some(fabric) = &self.fabric {
                     // In fabric mode the NIC utilization lives on the fabric.
                     self.traces.set(
@@ -922,76 +797,36 @@ impl Exec {
                     net_queued: net_q,
                 });
             }
-            // Next completion anywhere. Only machines whose allocator epoch
-            // moved this event re-derive their deadline; epochs only move on
-            // flow-set mutations, and deadlines only move on reallocations,
-            // which mutations trigger.
             // Under fault injection, stop at the last job completion instead
             // of sitting through the remaining scheduled fault actions (e.g.
             // a degrade window that outlives the workload). Speculation runs
             // stop there too: stale wake-up timers past the last completion
             // must not stretch the reported makespan.
-            if (self.faults_on || self.spec_on) && self.jobs.iter().all(|j| j.done) {
+            if (self.faults_on || self.spec_on) && self.plane.all_done() {
                 break;
             }
-            let mut next: Option<SimTime> = None;
-            for (m, machine) in self.machines.iter_mut().enumerate() {
-                if !machine.alive {
-                    next_cache[m] = None;
-                    epoch_cache[m] = machine.fluid.epoch();
-                    continue;
-                }
-                let epoch = machine.fluid.epoch();
-                if epoch_cache[m] != epoch {
-                    next_cache[m] = machine.fluid.next_completion(self.now);
-                    epoch_cache[m] = epoch;
-                }
-                if let Some(t) = next_cache[m] {
-                    next = Some(match next {
-                        Some(b) => b.min(t),
-                        None => t,
-                    });
-                }
-            }
-            if let Some(fabric) = &mut self.fabric {
-                if let Some(t) = fabric.next_completion(self.now) {
-                    next = Some(match next {
-                        Some(b) => b.min(t),
-                        None => t,
-                    });
-                }
-            }
-            if self.faults_on {
-                if let Some(t) = self.faults.next_time() {
-                    next = Some(match next {
-                        Some(b) => b.min(t),
-                        None => t,
-                    });
-                }
-            }
-            if self.spec_on {
-                if let Some(t) = self.spec_timers.peek_time() {
-                    next = Some(match next {
-                        Some(b) => b.min(t),
-                        None => t,
-                    });
-                }
-            }
-            if self.partitions_on {
-                if let Some(t) = self.fetch_timers.peek_time() {
-                    next = Some(match next {
-                        Some(b) => b.min(t),
-                        None => t,
-                    });
-                }
-                // Flows parked by a cut pair report a FAR_FUTURE deadline:
-                // "never" is not a real next event.
-                if next == Some(SimTime::FAR_FUTURE) {
-                    next = None;
-                }
+            let alive = &self.plane.alive;
+            let machines = self.fluids.next_completion(self.now, |m| alive[m]);
+            let fabric = self
+                .fabric
+                .as_mut()
+                .and_then(|f| f.next_completion(self.now));
+            let faults = self.faults_on.then(|| self.faults.next_time()).flatten();
+            let spec = self.spec_on.then(|| self.spec_timers.peek_time()).flatten();
+            let fetch = (self.partitions_on)
+                .then(|| self.plane.fetch_timers.peek_time())
+                .flatten();
+            let mut next = [machines, fabric, faults, spec, fetch]
+                .into_iter()
+                .flatten()
+                .min();
+            // Flows parked by a cut pair report a FAR_FUTURE deadline:
+            // "never" is not a real next event.
+            if self.partitions_on && next == Some(SimTime::FAR_FUTURE) {
+                next = None;
             }
             let Some(t) = next else {
-                if self.jobs.iter().all(|j| j.done) {
+                if self.plane.all_done() {
                     break;
                 }
                 if self.partitions_on {
@@ -1017,19 +852,15 @@ impl Exec {
     /// Applies every fault action due at `now`, inside the open batch.
     fn apply_due_faults(&mut self) -> Result<(), RunError> {
         while let Some(action) = self.faults.pop_due(self.now) {
-            if self.trace_on {
-                self.emit_instant(cluster::InstantKind::from(&action));
-            }
+            self.plane.emit(self.now, InstantKind::from(&action));
             match action {
                 FaultAction::SetDiskScale {
                     machine,
                     disk,
                     factor,
                 } => {
-                    if self.machines[machine].alive {
-                        self.machines[machine]
-                            .fluid
-                            .set_disk_scale(self.now, disk, factor);
+                    if self.plane.alive[machine] {
+                        self.fluids[machine].set_disk_scale(self.now, disk, factor);
                     }
                 }
                 FaultAction::SetLinkScale { machine, factor } => {
@@ -1037,8 +868,8 @@ impl Exec {
                     // fabric mode the machine's tx and rx port capacities
                     // degrade too, so link faults stretch shuffles whichever
                     // network model carries them.
-                    if self.machines[machine].alive {
-                        self.machines[machine].fluid.set_nic_scale(self.now, factor);
+                    if self.plane.alive[machine] {
+                        self.fluids[machine].set_nic_scale(self.now, factor);
                         if let Some(fabric) = &mut self.fabric {
                             fabric.set_port_scale(self.now, machine, factor);
                         }
@@ -1057,10 +888,10 @@ impl Exec {
     /// upstream tasks whose shuffle outputs lived on it (lineage
     /// recomputation).
     fn crash_machine(&mut self, m: usize) -> Result<(), RunError> {
-        if !self.machines[m].alive {
+        if !self.plane.alive[m] {
             return Ok(());
         }
-        self.machines[m].alive = false;
+        self.plane.alive[m] = false;
         for mt in 0..self.mts.len() {
             if self.mts[mt].remaining == 0 || self.mts[mt].aborted {
                 continue;
@@ -1091,8 +922,8 @@ impl Exec {
                 self.abort_multitask(mt)?;
             }
         }
-        self.lose_shuffle_outputs(m)?;
-        if !self.machines.iter().any(|x| x.alive) {
+        self.lose_outputs_on(m)?;
+        if !self.plane.alive.contains(&true) {
             return Err(RunError::all_machines_crashed(self.now));
         }
         Ok(())
@@ -1104,12 +935,8 @@ impl Exec {
         if self.mts[mt].nodes[node].stall_since.is_none() {
             self.mts[mt].nodes[node].stall_since = Some(self.now);
         }
-        if let Some(t) = self.cfg.fetch_timeout_secs {
-            if self.mts[mt].nodes[node].stall_deadline.is_none() {
-                let at = self.now + SimDuration::from_secs_f64(t);
-                self.mts[mt].nodes[node].stall_deadline = Some(at);
-                self.fetch_timers.schedule(at, ());
-            }
+        if self.mts[mt].nodes[node].stall_deadline.is_none() {
+            self.mts[mt].nodes[node].stall_deadline = self.plane.arm_timeout(self.now);
         }
     }
 
@@ -1119,7 +946,7 @@ impl Exec {
     /// stall clock, and speculative copies fetching across the pair are
     /// cancelled — they can never win.
     fn apply_cut(&mut self, src: usize, dst: usize) {
-        if !self.cut_pairs.insert((src, dst)) {
+        if !self.plane.cut_pairs.insert((src, dst)) {
             return;
         }
         if let Some(fabric) = &mut self.fabric {
@@ -1151,8 +978,8 @@ impl Exec {
                     // Park the in-flight receive stream: pull it out of the
                     // receiver's allocator, remembering the bytes left.
                     let sid = stream_id(mt, node);
-                    if self.machines[dst].fluid.contains(sid) {
-                        let rem = self.machines[dst].fluid.remove(self.now, sid);
+                    if self.fluids[dst].contains(sid) {
+                        let rem = self.fluids[dst].remove(self.now, sid);
                         self.mts[mt].nodes[node].parked_bytes = Some(rem.unwrap_or(0.0).max(1e-9));
                     }
                 }
@@ -1167,14 +994,14 @@ impl Exec {
     /// `stalled_fetch_seconds`), and machines quarantined by recovery become
     /// schedulable again.
     fn apply_heal(&mut self, src: usize, dst: usize) {
-        if !self.cut_pairs.remove(&(src, dst)) {
+        if !self.plane.cut_pairs.remove(&(src, dst)) {
             return;
         }
         if let Some(fabric) = &mut self.fabric {
             fabric.set_pair_cut(self.now, src, dst, false);
         }
-        self.quarantined[src] = false;
-        self.quarantined[dst] = false;
+        self.plane.quarantined[src] = false;
+        self.plane.quarantined[dst] = false;
         for mt in 0..self.mts.len() {
             if self.mts[mt].aborted || self.mts[mt].remaining == 0 || self.mts[mt].machine != dst {
                 continue;
@@ -1196,14 +1023,14 @@ impl Exec {
                 }
                 if let Some(since) = since {
                     let ji = self.mts[mt].key.job.0 as usize;
-                    self.jobs[ji].recovery.stalled_fetch_seconds +=
+                    self.plane.jobs[ji].recovery.stalled_fetch_seconds +=
                         self.now.since(since).as_secs_f64();
                     self.mts[mt].nodes[node].stall_since = None;
                     self.mts[mt].nodes[node].stall_deadline = None;
                 }
                 if let Some(rem) = parked {
-                    let n_disks = self.machines[dst].fluid.spec().disks.len();
-                    self.machines[dst].fluid.insert(
+                    let n_disks = self.fluids[dst].spec().disks.len();
+                    self.fluids[dst].insert(
                         self.now,
                         stream_id(mt, node),
                         StreamDemand::rx_only(rem, n_disks),
@@ -1220,10 +1047,7 @@ impl Exec {
     /// Stage-level gate blockages (no machine can reach any pending task's
     /// data) walk the same timeout → retries → re-plan path.
     fn check_partition_recovery(&mut self) -> Result<(), RunError> {
-        while self.fetch_timers.peek_time().is_some_and(|t| t <= self.now) {
-            self.fetch_timers.pop();
-        }
-        if self.cfg.fetch_timeout_secs.is_none() {
+        if !self.plane.drain_fetch_timers(self.now) {
             return Ok(());
         }
         for mt in 0..self.mts.len() {
@@ -1249,7 +1073,7 @@ impl Exec {
                 if !due {
                     continue;
                 }
-                if !self.cut_pairs.contains(&(from, dst)) {
+                if !self.plane.cut_pairs.contains(&(from, dst)) {
                     // Healed in the meantime (defensive: the heal sweep
                     // normally clears this state).
                     self.mts[mt].nodes[node].stall_deadline = None;
@@ -1260,74 +1084,23 @@ impl Exec {
                     n.fetch_retries += 1;
                     n.fetch_retries
                 };
-                let ji = self.mts[mt].key.job.0 as usize;
-                let si = self.mts[mt].key.stage.0;
-                self.jobs[ji].recovery.fetch_retries += 1;
-                self.emit_instant(cluster::InstantKind::FetchRetry {
-                    job: ji as u32,
-                    stage: si,
-                    attempt: retries,
-                });
-                if retries <= self.cfg.fetch_max_retries {
-                    let backoff = self.cfg.fetch_backoff_base_secs * 2f64.powi(retries as i32 - 1);
-                    self.jobs[ji].recovery.fetch_backoff_seconds += backoff;
-                    let mut at = self.now + SimDuration::from_secs_f64(backoff);
-                    if at <= self.now {
-                        at = SimTime(self.now.0 + 1);
+                let key = self.mts[mt].key;
+                let (ji, si) = (key.job.0 as usize, key.stage.0 as usize);
+                match self.plane.fetch_retry(ji, si, retries, self.now) {
+                    Some(at) => self.mts[mt].nodes[node].stall_deadline = Some(at),
+                    None => {
+                        self.replan_multitask(mt, retries)?;
+                        break;
                     }
-                    self.mts[mt].nodes[node].stall_deadline = Some(at);
-                    self.fetch_timers.schedule(at, ());
-                } else {
-                    self.replan_multitask(mt, retries)?;
-                    break;
                 }
             }
         }
-        for ji in 0..self.jobs.len() {
-            for si in 0..self.jobs[ji].stages.len() {
-                let due = self.jobs[ji].stages[si]
-                    .gate_deadline
-                    .is_some_and(|d| d <= self.now);
-                if !due {
-                    continue;
-                }
-                if !self.stage_gate_blocked(ji, si) {
-                    let run = &mut self.jobs[ji].stages[si];
-                    run.gate_blocked_since = None;
-                    run.gate_deadline = None;
-                    run.gate_retries = 0;
-                    continue;
-                }
-                let retries = {
-                    let run = &mut self.jobs[ji].stages[si];
-                    run.gate_retries += 1;
-                    run.gate_retries
-                };
-                self.jobs[ji].recovery.fetch_retries += 1;
-                self.emit_instant(cluster::InstantKind::FetchRetry {
-                    job: ji as u32,
-                    stage: si as u32,
-                    attempt: retries,
-                });
-                if retries <= self.cfg.fetch_max_retries {
-                    let backoff = self.cfg.fetch_backoff_base_secs * 2f64.powi(retries as i32 - 1);
-                    self.jobs[ji].recovery.fetch_backoff_seconds += backoff;
-                    let mut at = self.now + SimDuration::from_secs_f64(backoff);
-                    if at <= self.now {
-                        at = SimTime(self.now.0 + 1);
-                    }
-                    self.jobs[ji].stages[si].gate_deadline = Some(at);
-                    self.fetch_timers.schedule(at, ());
-                } else {
-                    if let Some(ti) = self.first_pending_task(ji, si) {
-                        self.resolve_unreachable(ji, si, ti, retries)?;
-                    }
-                    let run = &mut self.jobs[ji].stages[si];
-                    run.gate_blocked_since = None;
-                    run.gate_deadline = None;
-                    run.gate_retries = 0;
-                }
-            }
+        let mut cursor = (0, 0);
+        while let Some((ji, si, ti, retries)) =
+            self.plane
+                .next_exhausted_gate(&mut cursor, self.now, &can_host)
+        {
+            self.resolve_unreachable(ji, si, ti, retries)?;
         }
         Ok(())
     }
@@ -1345,10 +1118,7 @@ impl Exec {
         );
         self.account_replanned_fetches(mt);
         self.abort_multitask(mt)?;
-        let any_host = (0..self.n_machines()).any(|m| {
-            self.machines[m].alive && !self.quarantined[m] && self.can_host(m, ji, si, ti)
-        });
-        if !any_host {
+        if !self.plane.hostable(ji, si, ti, &can_host) {
             self.resolve_unreachable(ji, si, ti, retries)?;
         }
         Ok(())
@@ -1373,24 +1143,18 @@ impl Exec {
             n.stall_deadline = None;
             replanned += 1;
         }
-        self.jobs[ji].recovery.stalled_fetch_seconds += stalled;
-        self.jobs[ji].recovery.fetches_replanned += replanned;
-        let si = self.mts[mt].key.stage.0;
-        for _ in 0..replanned {
-            self.emit_instant(cluster::InstantKind::FetchReplan {
-                job: ji as u32,
-                stage: si,
-            });
-        }
+        let si = self.mts[mt].key.stage.0 as usize;
+        self.plane
+            .note_replanned(ji, si, stalled, replanned, self.now);
     }
 
     /// Sender-level degraded-mode re-planning: task `(ji, si, ti)` cannot be
-    /// hosted anywhere under the current cuts. Picks the best receiver `m*`
-    /// (the live machine reaching the most senders; lowest index on ties),
-    /// and for every sender `m*` cannot reach either resubmits that sender's
-    /// producer lineage — feasible exactly when each producer can re-run on a
-    /// machine `m*` reaches, i.e. a replica of its input is reachable — or
-    /// fails fast with [`RunError::Unreachable`].
+    /// hosted anywhere under the current cuts. For every sender the job
+    /// plane's chosen receiver cannot reach, abort the attempts still
+    /// fetching from it (their own timers would walk into this same
+    /// resolution), resubmit its producer lineage, and take it out of the
+    /// assignment rotation until a heal reconnects it — re-runs must land
+    /// where consumers can fetch from.
     fn resolve_unreachable(
         &mut self,
         ji: usize,
@@ -1398,97 +1162,10 @@ impl Exec {
         ti: usize,
         retries: u32,
     ) -> Result<(), RunError> {
-        let mut senders: Vec<usize> = Vec::new();
-        for di in 0..self.jobs[ji].spec.stages[si].deps.len() {
-            let ds = self.jobs[ji].spec.stages[si].deps[di].0 as usize;
-            for (s, &b) in self.jobs[ji].stages[ds]
-                .shuffle_by_machine
-                .iter()
-                .enumerate()
-            {
-                if b > 0.0 && !senders.contains(&s) {
-                    senders.push(s);
-                }
-            }
-        }
-        if senders.is_empty() {
-            // Disk-input task whose block home is cut off from every machine
-            // with no reachable replica: there is no lineage to resubmit —
-            // the input itself sits on the wrong side of the partition.
-            let home = match self.jobs[ji].spec.stages[si].tasks[ti].input {
-                InputSpec::DiskBlock { block, .. } => self.jobs[ji].blocks.machine_of(block),
-                _ => 0,
-            };
-            return Err(RunError::Unreachable {
-                job: JobId(ji as u32),
-                stage: StageId(si as u32),
-                task: TaskId(ti as u32),
-                machine: home,
-                retries,
-            });
-        }
-        let mut best: Option<(usize, usize)> = None;
-        for m in 0..self.n_machines() {
-            if !self.machines[m].alive || self.quarantined[m] {
-                continue;
-            }
-            let reach = senders
-                .iter()
-                .filter(|&&s| s == m || !self.cut_pairs.contains(&(s, m)))
-                .count();
-            if best.is_none_or(|(_, r)| reach > r) {
-                best = Some((m, reach));
-            }
-        }
-        let Some((mstar, _)) = best else {
-            return Err(RunError::all_machines_crashed(self.now));
-        };
-        let offending: Vec<usize> = senders
-            .iter()
-            .copied()
-            .filter(|&s| s != mstar && self.cut_pairs.contains(&(s, mstar)))
-            .collect();
+        let offending = self
+            .plane
+            .unreachable_senders(ji, si, ti, retries, self.now, &can_host)?;
         for s in offending {
-            // Feasibility: every producer whose shuffle output lives on `s`
-            // must be re-runnable on a machine the receiver reaches (its
-            // input block's home or a replica reachable from there).
-            let dep_sis: Vec<usize> = self.jobs[ji].spec.stages[si]
-                .deps
-                .iter()
-                .map(|d| d.0 as usize)
-                .filter(|&ds| self.jobs[ji].stages[ds].shuffle_by_machine[s] > 0.0)
-                .collect();
-            let mut feasible = true;
-            'deps: for &ds in &dep_sis {
-                for pi in 0..self.jobs[ji].stages[ds].completed_on[s].len() {
-                    let p = self.jobs[ji].stages[ds].completed_on[s][pi] as usize;
-                    let ok = (0..self.n_machines()).any(|m| {
-                        m != s
-                            && self.machines[m].alive
-                            && !self.quarantined[m]
-                            && !self.cut_pairs.contains(&(m, mstar))
-                            && self.can_host(m, ji, ds, p)
-                    });
-                    if !ok {
-                        feasible = false;
-                        break 'deps;
-                    }
-                }
-            }
-            if !feasible {
-                return Err(RunError::Unreachable {
-                    job: JobId(ji as u32),
-                    stage: StageId(si as u32),
-                    task: TaskId(ti as u32),
-                    machine: s,
-                    retries,
-                });
-            }
-            // Abort every attempt still fetching from `s` (their own timers
-            // would walk into this same resolution), resubmit s's producer
-            // lineage, and take `s` out of the assignment rotation until a
-            // heal reconnects it — re-runs must land where consumers can
-            // fetch from.
             for mt in 0..self.mts.len() {
                 if self.mts[mt].aborted || self.mts[mt].remaining == 0 {
                     continue;
@@ -1504,73 +1181,10 @@ impl Exec {
                     self.abort_multitask(mt)?;
                 }
             }
-            self.lose_shuffle_outputs(s)?;
-            self.quarantined[s] = true;
+            self.lose_outputs_on(s)?;
+            self.plane.quarantined[s] = true;
         }
         Ok(())
-    }
-
-    /// A ready stage with pending tasks is gate-blocked when no live,
-    /// unquarantined machine passes the reachability gate for any of them.
-    fn stage_gate_blocked(&self, ji: usize, si: usize) -> bool {
-        let run = &self.jobs[ji].stages[si];
-        if !run.ready || run.done {
-            return false;
-        }
-        let any_pending = !run.nopref.is_empty() || run.by_pref.iter().any(|q| !q.is_empty());
-        if !any_pending {
-            return false;
-        }
-        !(0..self.n_machines()).any(|m| {
-            self.machines[m].alive
-                && !self.quarantined[m]
-                && self.jobs[ji].stages[si]
-                    .nopref
-                    .iter()
-                    .chain(self.jobs[ji].stages[si].by_pref.iter().flatten())
-                    .any(|&ti| self.can_host(m, ji, si, ti as usize))
-        })
-    }
-
-    /// Lowest-position pending task of a stage (assignment order), if any.
-    fn first_pending_task(&self, ji: usize, si: usize) -> Option<usize> {
-        let run = &self.jobs[ji].stages[si];
-        if let Some(&ti) = run.nopref.last() {
-            return Some(ti as usize);
-        }
-        run.by_pref
-            .iter()
-            .find_map(|q| q.last().map(|&ti| ti as usize))
-    }
-
-    /// Once per event: start (or clear) the gate-blockage clocks of ready
-    /// stages whose pending tasks no machine can reach. Without a configured
-    /// timeout the clock still starts — the starvation error names the stage
-    /// — but no timer ever fires.
-    fn arm_gate_timers(&mut self) {
-        for ji in 0..self.jobs.len() {
-            if self.jobs[ji].done {
-                continue;
-            }
-            for si in 0..self.jobs[ji].stages.len() {
-                let blocked = self.stage_gate_blocked(ji, si);
-                if !blocked {
-                    let run = &mut self.jobs[ji].stages[si];
-                    if run.gate_blocked_since.is_some() {
-                        run.gate_blocked_since = None;
-                        run.gate_deadline = None;
-                        run.gate_retries = 0;
-                    }
-                } else if self.jobs[ji].stages[si].gate_blocked_since.is_none() {
-                    self.jobs[ji].stages[si].gate_blocked_since = Some(self.now);
-                    if let Some(t) = self.cfg.fetch_timeout_secs {
-                        let at = self.now + SimDuration::from_secs_f64(t);
-                        self.jobs[ji].stages[si].gate_deadline = Some(at);
-                        self.fetch_timers.schedule(at, ());
-                    }
-                }
-            }
-        }
     }
 
     /// When the event loop has nothing left to fire but jobs remain and
@@ -1599,51 +1213,7 @@ impl Exec {
                 }
             }
         }
-        for (ji, job) in self.jobs.iter().enumerate() {
-            if job.done {
-                continue;
-            }
-            for (si, run) in job.stages.iter().enumerate() {
-                if run.gate_blocked_since.is_none() {
-                    continue;
-                }
-                let Some(ti) = self.first_pending_task(ji, si) else {
-                    continue;
-                };
-                return Some(RunError::Unreachable {
-                    job: job.id,
-                    stage: StageId(si as u32),
-                    task: TaskId(ti as u32),
-                    machine: self.first_unreachable_source(ji, si, ti),
-                    retries: run.gate_retries,
-                });
-            }
-        }
-        None
-    }
-
-    /// First data source of `(ji, si, ti)` some live machine cannot reach —
-    /// best-effort attribution for the starvation error.
-    fn first_unreachable_source(&self, ji: usize, si: usize, ti: usize) -> usize {
-        let job = &self.jobs[ji];
-        match job.spec.stages[si].tasks[ti].input {
-            InputSpec::DiskBlock { block, .. } => job.blocks.machine_of(block),
-            InputSpec::ShuffleFetch { .. } => {
-                for d in &job.spec.stages[si].deps {
-                    let dep = &job.stages[d.0 as usize];
-                    for (s, &b) in dep.shuffle_by_machine.iter().enumerate() {
-                        if b > 0.0
-                            && (0..self.n_machines())
-                                .any(|m| self.machines[m].alive && self.cut_pairs.contains(&(s, m)))
-                        {
-                            return s;
-                        }
-                    }
-                }
-                0
-            }
-            _ => 0,
-        }
+        self.plane.gate_starvation_error()
     }
 
     /// Tears down an in-flight multitask: removes its active streams from
@@ -1654,7 +1224,7 @@ impl Exec {
     fn abort_multitask(&mut self, mt: usize) -> Result<(), RunError> {
         self.mts[mt].aborted = true;
         let machine = self.mts[mt].machine;
-        let home_alive = self.machines[machine].alive;
+        let home_alive = self.plane.alive[machine];
         let ji = self.mts[mt].key.job.0 as usize;
         let mut group_admitted = false;
         for node in 0..self.mts[mt].nodes.len() {
@@ -1662,7 +1232,6 @@ impl Exec {
                 let n = &self.mts[mt].nodes[node];
                 (n.op, n.net_phase, n.done, n.running, n.cancelled)
             };
-            let sid = stream_id(mt, node);
             if let MonoOp::NetFetch { .. } = op {
                 if done || phase != NetPhase::Waiting {
                     group_admitted = true;
@@ -1676,50 +1245,12 @@ impl Exec {
                 && (done || running)
                 && !matches!(op, MonoOp::Compute { .. })
             {
-                self.jobs[ji].recovery.wasted_bytes += op.bytes();
+                self.plane.jobs[ji].recovery.wasted_bytes += op.bytes();
             }
             if done {
                 continue;
             }
-            match op {
-                MonoOp::Compute { .. } => {
-                    if home_alive && self.machines[machine].fluid.contains(sid) {
-                        self.machines[machine].fluid.remove(self.now, sid);
-                        self.machines[machine].sched.finish_cpu();
-                    }
-                }
-                MonoOp::DiskRead { disk, .. } => {
-                    if home_alive && self.machines[machine].fluid.contains(sid) {
-                        self.machines[machine].fluid.remove(self.now, sid);
-                        self.machines[machine].sched.finish_disk(disk, false);
-                    }
-                }
-                MonoOp::DiskWrite { disk, .. } => {
-                    if home_alive && self.machines[machine].fluid.contains(sid) {
-                        self.machines[machine].fluid.remove(self.now, sid);
-                        self.machines[machine].sched.finish_disk(disk, true);
-                    }
-                }
-                MonoOp::NetFetch {
-                    from, remote_disk, ..
-                } => match phase {
-                    NetPhase::Waiting => {}
-                    NetPhase::RemoteRead => {
-                        // The serve read runs on the *sender's* disk.
-                        if self.machines[from].alive && self.machines[from].fluid.contains(sid) {
-                            self.machines[from].fluid.remove(self.now, sid);
-                            self.machines[from].sched.finish_disk(remote_disk, false);
-                        }
-                    }
-                    NetPhase::Transfer => {
-                        if let Some(fabric) = &mut self.fabric {
-                            fabric.remove(self.now, FlowId(sid.0));
-                        } else if home_alive && self.machines[machine].fluid.contains(sid) {
-                            self.machines[machine].fluid.remove(self.now, sid);
-                        }
-                    }
-                },
-            }
+            self.remove_stream(mt, node);
         }
         if home_alive {
             if group_admitted && self.mts[mt].fetches_outstanding > 0 {
@@ -1734,148 +1265,47 @@ impl Exec {
         self.mts[mt].buffered = 0.0;
         let key = self.mts[mt].key;
         let ji = key.job.0 as usize;
-        self.jobs[ji].recovery.wasted_work_seconds +=
+        self.plane.jobs[ji].recovery.wasted_work_seconds +=
             self.now.since(self.mts[mt].start).as_secs_f64();
-        self.requeue_task(
+        self.plane.requeue_task(
             ji,
             key.stage.0 as usize,
             key.task.0 as usize,
             self.mts[mt].recompute,
+            self.now,
         )
     }
 
-    /// Bounded-retry re-queue of one task attempt.
-    fn requeue_task(
-        &mut self,
-        ji: usize,
-        si: usize,
-        ti: usize,
-        recompute: bool,
-    ) -> Result<(), RunError> {
-        let a = &mut self.attempts[ji][si][ti];
-        *a += 1;
-        if *a > self.cfg.max_task_retries {
-            return Err(RunError::RetriesExhausted {
-                job: JobId(ji as u32),
-                stage: StageId(si as u32),
-                task: TaskId(ti as u32),
-                attempts: *a,
-            });
-        }
-        self.jobs[ji].recovery.tasks_retried += 1;
-        self.emit_instant(cluster::InstantKind::TaskRetry {
-            job: ji as u32,
-            stage: si as u32,
-            task: ti as u32,
-            recompute,
-        });
-        if recompute {
-            self.recompute_pending.insert((ji, si, ti));
-        }
-        self.jobs[ji].stages[si].nopref.push(ti as u32);
-        self.pending_tasks += 1;
-        Ok(())
-    }
-
-    /// Spark-style stage resubmission: for every stage with completed shuffle
-    /// output stored on the dead machine `m` that an unfinished stage still
-    /// needs, re-queue exactly the tasks that produced those bytes (the
-    /// lineage index `completed_on[m]`) and close downstream stages until the
-    /// data exists again.
-    fn lose_shuffle_outputs(&mut self, m: usize) -> Result<(), RunError> {
-        for ji in 0..self.jobs.len() {
-            let n_stages = self.jobs[ji].stages.len();
-            for si in 0..n_stages {
-                if self.jobs[ji].stages[si].shuffle_by_machine[m] <= 0.0 {
-                    continue;
-                }
-                let needed = (0..n_stages).any(|sj| {
-                    !self.jobs[ji].stages[sj].done
-                        && self.jobs[ji].spec.stages[sj]
-                            .deps
-                            .iter()
-                            .any(|d| d.0 as usize == si)
-                });
-                if !needed {
-                    // Every consumer already finished; the lost bytes will
-                    // never be fetched again.
-                    continue;
-                }
-                let lost = std::mem::take(&mut self.jobs[ji].stages[si].completed_on[m]);
-                if lost.is_empty() {
-                    continue;
-                }
-                let was_done = {
-                    let run = &mut self.jobs[ji].stages[si];
-                    run.shuffle_by_machine[m] = 0.0;
-                    run.shuffle_epoch += 1;
-                    run.completed -= lost.len();
-                    let was_done = run.done;
-                    run.done = false;
-                    run.ended = None;
-                    was_done
-                };
-                if self.templates_on {
-                    // Placement changed: consumers must not stamp from the
-                    // stale layout. Dropped eagerly (and counted); the epoch
-                    // check at instantiation is the backstop.
-                    for sj in 0..n_stages {
-                        let consumes = self.jobs[ji].spec.stages[sj]
-                            .deps
-                            .iter()
-                            .any(|d| d.0 as usize == si);
-                        if consumes && self.templates[ji][sj].take().is_some() {
-                            self.jobs[ji].stages[sj].control.template_invalidations += 1;
-                            self.emit_instant(cluster::InstantKind::TemplateInvalidate {
-                                job: ji as u32,
-                                stage: sj as u32,
-                            });
-                        }
-                    }
-                }
-                for ti in lost {
-                    self.requeue_task(ji, si, ti as usize, true)?;
-                }
-                if was_done {
-                    for sj in 0..n_stages {
-                        let depends = self.jobs[ji].spec.stages[sj]
-                            .deps
-                            .iter()
-                            .any(|d| d.0 as usize == si);
-                        if depends
-                            && self.jobs[ji].stages[sj].ready
-                            && !self.jobs[ji].stages[sj].done
-                        {
-                            // Pending consumers wait for the recomputation;
-                            // in-flight consumers fetching from `m` were
-                            // already aborted above.
-                            self.jobs[ji].stages[sj].ready = false;
-                        }
-                    }
+    /// Lineage loss of machine `m`'s shuffle outputs (crash or quarantine):
+    /// the job plane re-queues their producers; the stage's shuffle epoch
+    /// moves, and consumer templates captured from the stale layout are
+    /// dropped eagerly (and counted) — the epoch check at instantiation is
+    /// the backstop.
+    fn lose_outputs_on(&mut self, m: usize) -> Result<(), RunError> {
+        let mono_stages = &mut self.mono_stages;
+        let templates_on = self.templates_on;
+        let now = self.now;
+        self.plane.lose_shuffle_outputs(m, now, |plane, ji, si, _| {
+            mono_stages[ji][si].shuffle_epoch += 1;
+            if !templates_on {
+                return;
+            }
+            for sj in 0..mono_stages[ji].len() {
+                let deps = &plane.jobs[ji].spec.stages[sj].deps;
+                let consumes = deps.iter().any(|d| d.0 as usize == si);
+                let mono = &mut mono_stages[ji][sj];
+                if consumes && mono.template.take().is_some() {
+                    mono.control.template_invalidations += 1;
+                    plane.emit(
+                        now,
+                        InstantKind::TemplateInvalidate {
+                            job: ji as u32,
+                            stage: sj as u32,
+                        },
+                    );
                 }
             }
-        }
-        Ok(())
-    }
-
-    /// Opens a batched-update scope on every allocator (machines + fabric).
-    fn begin_update_all(&mut self) {
-        for m in self.machines.iter_mut() {
-            m.fluid.begin_update();
-        }
-        if let Some(fabric) = &mut self.fabric {
-            fabric.begin_update();
-        }
-    }
-
-    /// Commits every allocator's batch, reallocating the dirty ones once.
-    fn commit_all(&mut self, now: SimTime) {
-        for m in self.machines.iter_mut() {
-            m.fluid.commit(now);
-        }
-        if let Some(fabric) = &mut self.fabric {
-            fabric.commit(now);
-        }
+        })
     }
 
     /// Assigns pending multitasks to machines below the concurrency target.
@@ -1884,27 +1314,29 @@ impl Exec {
         // machine exhausts its *local* tasks before any machine steals them.
         let mut changed = false;
         loop {
-            // Nothing pending anywhere: every pick below would scan all
-            // stages and return None. The counter is exact (queue pushes and
-            // pops mirror it), so this short-circuit is behavior-identical.
-            if self.pending_tasks == 0 {
+            // Nothing pending anywhere: every pick below would return None,
+            // so skip the per-machine sweep outright — most events during a
+            // stage's steady state assign nothing.
+            if !self.plane.has_pending() {
                 break;
             }
             let mut assigned_any = false;
             for m in 0..self.n_machines() {
-                if !self.machines[m].alive {
+                if !self.plane.alive[m] {
                     continue;
                 }
                 // A machine under memory pressure takes no new multitasks
                 // (§3.5: schedulers prioritize by remaining memory); it has
                 // work in flight by construction, so this cannot stall it.
-                if self.partitions_on && self.quarantined[m] {
+                if self.partitions_on && self.plane.quarantined[m] {
                     continue;
                 }
                 if self.machines[m].assigned < self.target
                     && !(self.machines[m].sched.prefer_writes() && self.machines[m].assigned > 0)
                 {
-                    if let Some((ji, si, ti)) = self.pick_task(m) {
+                    let fair = self.cfg.job_policy == JobPolicy::Fair;
+                    let gate = self.partitions_on.then_some(&can_host as &HostFn);
+                    if let Some((ji, si, ti)) = self.plane.pick_task(m, self.now, fair, gate) {
                         self.start_multitask(m, ji, si, ti);
                         assigned_any = true;
                         changed = true;
@@ -1918,148 +1350,6 @@ impl Exec {
         changed
     }
 
-    /// Partition reachability gate: whether machine `m` could actually get
-    /// the input data of task `(ji, si, ti)` across the current cuts. A disk
-    /// task needs its block's home (or a live replica holder) reachable; a
-    /// shuffle task needs every producing machine reachable. Crash recovery
-    /// deliberately stays out of this gate — dead senders are handled by the
-    /// existing lineage path, and partition-free runs never call it.
-    fn can_host(&self, m: usize, ji: usize, si: usize, ti: usize) -> bool {
-        let job = &self.jobs[ji];
-        match job.spec.stages[si].tasks[ti].input {
-            InputSpec::DiskBlock { block, .. } => {
-                let home = job.blocks.machine_of(block);
-                m == home
-                    || !self.cut_pairs.contains(&(home, m))
-                    || job.blocks.extra_replicas(block).iter().any(|&(rm, _)| {
-                        rm == m || (self.machines[rm].alive && !self.cut_pairs.contains(&(rm, m)))
-                    })
-            }
-            InputSpec::ShuffleFetch { .. } => job.spec.stages[si].deps.iter().all(|d| {
-                let dep = &job.stages[d.0 as usize];
-                dep.shuffle_by_machine
-                    .iter()
-                    .enumerate()
-                    .all(|(s, &b)| b <= 0.0 || s == m || !self.cut_pairs.contains(&(s, m)))
-            }),
-            InputSpec::Memory { .. } | InputSpec::None => true,
-        }
-    }
-
-    /// `pick_task` for partition runs: same two-pass scan, but each queue is
-    /// searched back-to-front for the first entry passing the reachability
-    /// gate instead of blindly popping the tail. Gated entries stay queued
-    /// for a machine that can reach their data (or for the heal).
-    fn pick_task_partitioned(&mut self, m: usize) -> Option<(usize, usize, usize)> {
-        let n_jobs = self.jobs.len();
-        let offset = match self.cfg.job_policy {
-            JobPolicy::Fair => self.rr_job,
-            JobPolicy::Fifo => 0,
-        };
-        // Pass 1: locality.
-        for jo in 0..n_jobs {
-            let ji = (offset + jo) % n_jobs;
-            for si in 0..self.jobs[ji].stages.len() {
-                if !self.jobs[ji].stages[si].ready || self.jobs[ji].stages[si].done {
-                    continue;
-                }
-                let len = self.jobs[ji].stages[si].by_pref[m].len();
-                for k in (0..len).rev() {
-                    let ti = self.jobs[ji].stages[si].by_pref[m][k] as usize;
-                    if self.can_host(m, ji, si, ti) {
-                        self.jobs[ji].stages[si].by_pref[m].remove(k);
-                        self.pending_tasks -= 1;
-                        self.rr_job = ji + 1;
-                        return Some((ji, si, ti));
-                    }
-                }
-            }
-        }
-        // Pass 2: anything pending (no-pref first, then steal remote-local).
-        for jo in 0..n_jobs {
-            let ji = (offset + jo) % n_jobs;
-            for si in 0..self.jobs[ji].stages.len() {
-                if !self.jobs[ji].stages[si].ready || self.jobs[ji].stages[si].done {
-                    continue;
-                }
-                let len = self.jobs[ji].stages[si].nopref.len();
-                for k in (0..len).rev() {
-                    let ti = self.jobs[ji].stages[si].nopref[k] as usize;
-                    if self.can_host(m, ji, si, ti) {
-                        self.jobs[ji].stages[si].nopref.remove(k);
-                        self.pending_tasks -= 1;
-                        self.rr_job = ji + 1;
-                        return Some((ji, si, ti));
-                    }
-                }
-                for q in 0..self.jobs[ji].stages[si].by_pref.len() {
-                    let len = self.jobs[ji].stages[si].by_pref[q].len();
-                    for k in (0..len).rev() {
-                        let ti = self.jobs[ji].stages[si].by_pref[q][k] as usize;
-                        if self.can_host(m, ji, si, ti) {
-                            self.jobs[ji].stages[si].by_pref[q].remove(k);
-                            self.pending_tasks -= 1;
-                            self.rr_job = ji + 1;
-                            return Some((ji, si, ti));
-                        }
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// Chooses the next task for machine `m`: a local task from any ready
-    /// stage (jobs ordered per [`JobPolicy`]), else any pending task.
-    fn pick_task(&mut self, m: usize) -> Option<(usize, usize, usize)> {
-        if self.partitions_on {
-            return self.pick_task_partitioned(m);
-        }
-        let n_jobs = self.jobs.len();
-        let offset = match self.cfg.job_policy {
-            JobPolicy::Fair => self.rr_job,
-            JobPolicy::Fifo => 0,
-        };
-        // Pass 1: locality.
-        for jo in 0..n_jobs {
-            let ji = (offset + jo) % n_jobs;
-            for si in 0..self.jobs[ji].stages.len() {
-                let run = &mut self.jobs[ji].stages[si];
-                if !run.ready || run.done {
-                    continue;
-                }
-                if let Some(ti) = run.by_pref[m].pop() {
-                    self.pending_tasks -= 1;
-                    self.rr_job = ji + 1;
-                    return Some((ji, si, ti as usize));
-                }
-            }
-        }
-        // Pass 2: anything pending (no-pref first, then steal remote-local).
-        for jo in 0..n_jobs {
-            let ji = (offset + jo) % n_jobs;
-            for si in 0..self.jobs[ji].stages.len() {
-                let run = &mut self.jobs[ji].stages[si];
-                if !run.ready || run.done {
-                    continue;
-                }
-                if let Some(ti) = run.nopref.pop() {
-                    self.pending_tasks -= 1;
-                    self.rr_job = ji + 1;
-                    return Some((ji, si, ti as usize));
-                }
-                for q in &mut run.by_pref {
-                    if let Some(ti) = q.pop() {
-                        self.pending_tasks -= 1;
-                        self.rr_job = ji + 1;
-                        return Some((ji, si, ti as usize));
-                    }
-                }
-            }
-        }
-        None
-    }
-
     /// Builds the monotask DAG for one task and enqueues its roots.
     ///
     /// With execution templates on, shuffle-input tasks stamp their nodes
@@ -2070,16 +1360,16 @@ impl Exec {
     /// pins bit-exactly.
     fn start_multitask(&mut self, m: usize, ji: usize, si: usize, ti: usize) {
         let t_start = std::time::Instant::now();
-        let n_disks = self.machines[m].fluid.spec().disks.len();
-        let mut task = self.jobs[ji].spec.stages[si].tasks[ti];
+        let n_disks = self.fluids[m].spec().disks.len();
+        let mut task = self.plane.jobs[ji].spec.stages[si].tasks[ti];
         let mut recompute = false;
         let mut straggle = None;
         if self.faults_on {
-            recompute = self.recompute_pending.remove(&(ji, si, ti));
+            recompute = self.plane.take_recompute(ji, si, ti);
             // A straggler's *first* attempt drags its compute monotask out by
             // `factor`; because the slowdown is pinned to one monotask, the
             // per-resource records attribute it directly (§6.6's clarity win).
-            if self.attempts[ji][si][ti] == 0 {
+            if self.plane.attempts(ji, si, ti) == 0 {
                 if let Some(f) = self.faults.straggle_factor(si, ti) {
                     task.cpu.deser *= f;
                     task.cpu.compute *= f;
@@ -2089,7 +1379,7 @@ impl Exec {
             }
         }
         let input_disk = match task.input {
-            InputSpec::DiskBlock { block, .. } => self.jobs[ji].blocks.disk_of(block),
+            InputSpec::DiskBlock { block, .. } => self.plane.jobs[ji].blocks.disk_of(block),
             _ => 0,
         };
         let write_disk = if n_disks > 0 {
@@ -2117,7 +1407,7 @@ impl Exec {
         let nodes = if self.templates_on {
             if is_shuffle {
                 if self.template_valid(ji, si) {
-                    self.jobs[ji].stages[si].control.template_hits += 1;
+                    self.mono_stages[ji][si].control.template_hits += 1;
                 } else {
                     self.build_template(ji, si);
                 }
@@ -2147,25 +1437,9 @@ impl Exec {
                         "decomposition produces at most one dependent per node"
                     );
                     MonoNode {
-                        op: n.op,
-                        purpose: n.purpose,
                         deps_remaining: n.deps_remaining,
                         dependent: n.dependents.first().map(|&d| d as u32),
-                        queued: self.now,
-                        started: self.now,
-                        serve_queued: self.now,
-                        serve_started: self.now,
-                        net_phase: NetPhase::Waiting,
-                        done: false,
-                        running: false,
-                        cancelled: false,
-                        copy: None,
-                        copy_of: None,
-                        spec_wake_at: None,
-                        stall_since: None,
-                        stall_deadline: None,
-                        fetch_retries: 0,
-                        parked_bytes: None,
+                        ..MonoNode::new(n.op, n.purpose, self.now)
                     }
                 })
                 .collect();
@@ -2214,41 +1488,38 @@ impl Exec {
         if has_fetches {
             self.machines[m].sched.enqueue_net_group(mt_idx);
         }
-        let run = &mut self.jobs[ji].stages[si];
-        if run.started.is_none() {
-            run.started = Some(self.now);
-        }
-        run.control.tasks_started += 1;
-        run.control.template_build_nanos += (t_built - t_start).as_nanos() as u64;
-        run.control.instantiate_nanos += t_built.elapsed().as_nanos() as u64;
+        let control = &mut self.mono_stages[ji][si].control;
+        control.tasks_started += 1;
+        control.template_build_nanos += (t_built - t_start).as_nanos() as u64;
+        control.instantiate_nanos += t_built.elapsed().as_nanos() as u64;
     }
 
     /// Is the captured template for `(job, stage)` still valid — present,
     /// and derived from every producer's current shuffle epoch?
     fn template_valid(&self, ji: usize, si: usize) -> bool {
-        let Some(tpl) = &self.templates[ji][si] else {
+        let Some(tpl) = &self.mono_stages[ji][si].template else {
             return false;
         };
-        let deps = &self.jobs[ji].spec.stages[si].deps;
+        let deps = &self.plane.jobs[ji].spec.stages[si].deps;
         debug_assert_eq!(tpl.dep_epochs.len(), deps.len());
         deps.iter()
             .zip(&tpl.dep_epochs)
-            .all(|(d, &e)| self.jobs[ji].stages[d.0 as usize].shuffle_epoch == e)
+            .all(|(d, &e)| self.mono_stages[ji][d.0 as usize].shuffle_epoch == e)
     }
 
     /// Captures (or recaptures) the `(job, stage)` sender layout: the control
     /// decision every task of the stage shares. Counts a template miss, plus
     /// an invalidation when a stale capture is replaced.
     fn build_template(&mut self, ji: usize, si: usize) {
-        let n_tasks = self.jobs[ji].spec.stages[si].tasks.len() as f64;
-        let n_deps = self.jobs[ji].spec.stages[si].deps.len();
-        let stale = self.templates[ji][si].take().is_some();
+        let n_tasks = self.plane.jobs[ji].spec.stages[si].tasks.len() as f64;
+        let n_deps = self.plane.jobs[ji].spec.stages[si].deps.len();
+        let stale = self.mono_stages[ji][si].template.take().is_some();
         let mut tpl = StageTemplate::default();
         for di in 0..n_deps {
-            let dep = self.jobs[ji].spec.stages[si].deps[di].0 as usize;
-            let drun = &self.jobs[ji].stages[dep];
+            let dep = self.plane.jobs[ji].spec.stages[si].deps[di].0 as usize;
+            let drun = &self.plane.jobs[ji].stages[dep];
             debug_assert!(drun.done, "fetching from unfinished stage");
-            tpl.dep_epochs.push(drun.shuffle_epoch);
+            tpl.dep_epochs.push(self.mono_stages[ji][dep].shuffle_epoch);
             let total: f64 = drun.shuffle_by_machine.iter().sum();
             if total <= 0.0 {
                 continue;
@@ -2270,16 +1541,19 @@ impl Exec {
                 });
             }
         }
-        let run = &mut self.jobs[ji].stages[si];
-        run.control.template_misses += 1;
-        run.control.template_invalidations += u64::from(stale);
+        let control = &mut self.mono_stages[ji][si].control;
+        control.template_misses += 1;
+        control.template_invalidations += u64::from(stale);
         if stale {
-            self.emit_instant(cluster::InstantKind::TemplateInvalidate {
-                job: ji as u32,
-                stage: si as u32,
-            });
+            self.plane.emit(
+                self.now,
+                InstantKind::TemplateInvalidate {
+                    job: ji as u32,
+                    stage: si as u32,
+                },
+            );
         }
-        self.templates[ji][si] = Some(tpl);
+        self.mono_stages[ji][si].template = Some(tpl);
     }
 
     /// Stamps one task's monotask nodes: compute at index 0, input nodes in
@@ -2296,29 +1570,10 @@ impl Exec {
         write_disk: usize,
     ) -> Vec<MonoNode> {
         let now = self.now;
-        let blank = |op: MonoOp, purpose: Purpose| MonoNode {
-            op,
-            purpose,
-            deps_remaining: 0,
-            dependent: None,
-            queued: now,
-            started: now,
-            serve_queued: now,
-            serve_started: now,
-            net_phase: NetPhase::Waiting,
-            done: false,
-            running: false,
-            cancelled: false,
-            copy: None,
-            copy_of: None,
-            spec_wake_at: None,
-            stall_since: None,
-            stall_deadline: None,
-            fetch_retries: 0,
-            parked_bytes: None,
-        };
+        let blank = |op: MonoOp, purpose: Purpose| MonoNode::new(op, purpose, now);
         let cap = 2 + match task.input {
-            InputSpec::ShuffleFetch { .. } => self.templates[ji][si]
+            InputSpec::ShuffleFetch { .. } => self.mono_stages[ji][si]
+                .template
                 .as_ref()
                 .map_or(0, |t| t.senders.len()),
             _ => 1,
@@ -2340,14 +1595,15 @@ impl Exec {
                 }
             }
             InputSpec::ShuffleFetch { .. } => {
-                let tpl = self.templates[ji][si]
+                let tpl = self.mono_stages[ji][si]
+                    .template
                     .as_ref()
                     .expect("template ensured before stamping");
                 for e in &tpl.senders {
                     // The serve-disk cursor advances exactly as the
                     // untemplated sweep advances it: once per positive
                     // share, local and in-memory shares included.
-                    let nd = self.machines[e.machine].fluid.spec().disks.len().max(1);
+                    let nd = self.fluids[e.machine].spec().disks.len().max(1);
                     let c = self.machines[e.machine].serve_cursor;
                     self.machines[e.machine].serve_cursor = c + 1;
                     let disk = c % nd;
@@ -2415,11 +1671,11 @@ impl Exec {
     /// `shares` — the untemplated baseline [`Self::build_template`] caches.
     fn sender_shares_into(&mut self, ji: usize, si: usize, shares: &mut Vec<SenderShare>) {
         let n_machines = self.n_machines();
-        let n_tasks = self.jobs[ji].spec.stages[si].tasks.len() as f64;
-        let n_deps = self.jobs[ji].spec.stages[si].deps.len();
+        let n_tasks = self.plane.jobs[ji].spec.stages[si].tasks.len() as f64;
+        let n_deps = self.plane.jobs[ji].spec.stages[si].deps.len();
         for di in 0..n_deps {
-            let dep = self.jobs[ji].spec.stages[si].deps[di].0 as usize;
-            let drun = &self.jobs[ji].stages[dep];
+            let dep = self.plane.jobs[ji].spec.stages[si].deps[di].0 as usize;
+            let drun = &self.plane.jobs[ji].stages[dep];
             debug_assert!(drun.done, "fetching from unfinished stage");
             let total: f64 = drun.shuffle_by_machine.iter().sum();
             if total <= 0.0 {
@@ -2434,7 +1690,7 @@ impl Exec {
                     continue;
                 }
                 let disk = {
-                    let nd = self.machines[s].fluid.spec().disks.len().max(1);
+                    let nd = self.fluids[s].spec().disks.len().max(1);
                     let c = self.machines[s].serve_cursor;
                     self.machines[s].serve_cursor = c + 1;
                     c % nd
@@ -2474,7 +1730,7 @@ impl Exec {
     fn dispatch_all(&mut self) -> bool {
         let mut changed = false;
         for m in 0..self.n_machines() {
-            if !self.machines[m].alive {
+            if !self.plane.alive[m] {
                 // Every entry a dead machine's queues hold belongs to an
                 // aborted multitask (its own, or a serve read for a fetch
                 // from it); nothing may be admitted.
@@ -2497,7 +1753,7 @@ impl Exec {
                     let popped = if self.machines[m].sched.prefer_writes() {
                         // Under §3.5 memory pressure, admit reads only when
                         // the machine is otherwise idle (progress guarantee).
-                        let idle = self.machines[m].fluid.active_streams() == 0;
+                        let idle = self.fluids[m].active_streams() == 0;
                         self.machines[m].sched.pop_disk_pressured(d, idle)
                     } else {
                         self.machines[m].sched.pop_disk(d)
@@ -2534,8 +1790,8 @@ impl Exec {
         };
         self.mts[mt].nodes[node].started = self.now;
         self.mts[mt].nodes[node].running = true;
-        let n_disks = self.machines[machine].fluid.spec().disks.len();
-        self.machines[machine].fluid.insert(
+        let n_disks = self.fluids[machine].spec().disks.len();
+        self.fluids[machine].insert(
             self.now,
             stream_id(mt, node),
             StreamDemand::cpu_only(work.total().max(1e-9), n_disks),
@@ -2543,7 +1799,7 @@ impl Exec {
     }
 
     fn start_disk(&mut self, machine: usize, disk: usize, mt: usize, node: usize) {
-        let n_disks = self.machines[machine].fluid.spec().disks.len();
+        let n_disks = self.fluids[machine].spec().disks.len();
         let (bytes, is_write) = match self.mts[mt].nodes[node].op {
             MonoOp::DiskRead { bytes, .. } => {
                 self.mts[mt].nodes[node].started = self.now;
@@ -2575,9 +1831,7 @@ impl Exec {
         } else {
             StreamDemand::disk_read_only(cluster::DiskId(disk), bytes.max(1e-9), n_disks)
         };
-        self.machines[machine]
-            .fluid
-            .insert(self.now, stream_id(mt, node), demand);
+        self.fluids[machine].insert(self.now, stream_id(mt, node), demand);
     }
 
     /// The receiver's network scheduler admitted multitask `mt`'s fetches.
@@ -2634,7 +1888,7 @@ impl Exec {
             MonoOp::NetFetch { from, .. } => from,
             _ => unreachable!("transfer on non-fetch node"),
         };
-        if self.partitions_on && self.cut_pairs.contains(&(from, machine)) {
+        if self.partitions_on && self.plane.cut_pairs.contains(&(from, machine)) {
             // Starting straight into a cut pair: begin the stall clock now.
             // Fabric transfers still enter the allocator (their class runs at
             // rate 0 until heal); per-machine transfers park outright.
@@ -2654,8 +1908,8 @@ impl Exec {
             );
             return;
         }
-        let n_disks = self.machines[machine].fluid.spec().disks.len();
-        self.machines[machine].fluid.insert(
+        let n_disks = self.fluids[machine].spec().disks.len();
+        self.fluids[machine].insert(
             self.now,
             stream_id(mt, node),
             StreamDemand::rx_only(bytes.max(1e-9), n_disks),
@@ -2681,25 +1935,7 @@ impl Exec {
             MonoOp::Compute { work } => {
                 let machine = self.mts[mt].machine;
                 self.machines[machine].sched.finish_cpu();
-                // The compute consumed its input buffers and produced its
-                // serialized output buffer. (Speculative copy nodes are
-                // excluded: only one of each racing pair's buffers is real.)
-                let consumed: f64 = self.mts[mt]
-                    .nodes
-                    .iter()
-                    .filter(|n| n.copy_of.is_none())
-                    .filter(|n| matches!(n.op, MonoOp::DiskRead { .. } | MonoOp::NetFetch { .. }))
-                    .map(|n| n.op.bytes())
-                    .sum();
-                let produced: f64 = self.mts[mt]
-                    .nodes
-                    .iter()
-                    .filter(|n| n.copy_of.is_none())
-                    .filter(|n| matches!(n.op, MonoOp::DiskWrite { .. }))
-                    .map(|n| n.op.bytes())
-                    .sum();
-                self.adjust_buffered(machine, produced - consumed);
-                self.mts[mt].buffered += produced - consumed;
+                self.settle_compute_buffers(mt, machine);
                 self.emit(mt, node, machine, ResourceKind::Cpu, 0.0, Some(work));
                 if self.spec_on {
                     self.push_sample(mt, node);
@@ -2857,7 +2093,7 @@ impl Exec {
                     // Median of per-machine medians: a single partitioned or
                     // degraded machine contributes one vote, not a tail that
                     // drags the whole population's median.
-                    let total = self.jobs[key.0 as usize].stages[key.1 as usize].total;
+                    let total = self.plane.jobs[key.0 as usize].stages[key.1 as usize].total;
                     let lo = (key.0, key.1, key.2, 0u32);
                     let hi = (key.0, key.1, key.2, u32::MAX);
                     let mut meds: Vec<f64> = Vec::new();
@@ -2870,7 +2106,8 @@ impl Exec {
                 } else {
                     match self.durations.get(&key) {
                         Some(samples) => {
-                            let total = self.jobs[key.0 as usize].stages[key.1 as usize].total;
+                            let total =
+                                self.plane.jobs[key.0 as usize].stages[key.1 as usize].total;
                             (
                                 median(samples),
                                 samples.len() >= 2 && samples.len() * 2 >= total,
@@ -2938,7 +2175,8 @@ impl Exec {
                     let Some(block) = self.mts[mt].input_block else {
                         return false;
                     };
-                    let replicas: Vec<(usize, usize)> = self.jobs[self.mts[mt].key.job.0 as usize]
+                    let replicas: Vec<(usize, usize)> = self.plane.jobs
+                        [self.mts[mt].key.job.0 as usize]
                         .blocks
                         .extra_replicas(block)
                         .to_vec();
@@ -2958,7 +2196,7 @@ impl Exec {
                         )
                     } else if let Some((rm, rd)) = replicas
                         .iter()
-                        .find(|(m, _)| *m != home && self.machines[*m].alive)
+                        .find(|(m, _)| *m != home && self.plane.alive[*m])
                         .copied()
                     {
                         (
@@ -3005,7 +2243,7 @@ impl Exec {
                 // Re-request the share from the same sender via its next
                 // serve disk (the serve-disk cursor is round-robin, so any
                 // disk can serve any share).
-                if !self.machines[from].alive {
+                if !self.plane.alive[from] {
                     return false;
                 }
                 let nd = self.machines[from].sched.n_disks();
@@ -3029,47 +2267,34 @@ impl Exec {
         if self.partitions_on {
             // Never speculate across a cut pair: the copy would stall too.
             if let MonoOp::NetFetch { from, .. } = copy_op {
-                if self.cut_pairs.contains(&(from, home)) {
+                if self.plane.cut_pairs.contains(&(from, home)) {
                     return false;
                 }
             }
         }
         let idx = self.mts[mt].nodes.len();
         self.mts[mt].nodes.push(MonoNode {
-            op: copy_op,
-            purpose,
-            deps_remaining: 0,
-            dependent: None,
-            queued: self.now,
-            started: self.now,
-            serve_queued: self.now,
-            serve_started: self.now,
             net_phase: if is_fetch_copy {
                 NetPhase::RemoteRead
             } else {
                 NetPhase::Waiting
             },
-            done: false,
-            running: false,
-            cancelled: false,
-            copy: None,
             copy_of: Some(node),
-            spec_wake_at: None,
-            stall_since: None,
-            stall_deadline: None,
-            fetch_retries: 0,
-            parked_bytes: None,
+            ..MonoNode::new(copy_op, purpose, self.now)
         });
         self.mts[mt].nodes[node].copy = Some(idx);
         let key = self.mts[mt].key;
         let ji = key.job.0 as usize;
-        self.jobs[ji].recovery.mono_copies[res_index(&orig_op)] += 1;
-        self.emit_instant(cluster::InstantKind::MonoCopy {
-            job: key.job.0,
-            stage: key.stage.0,
-            task: key.task.0,
-            resource: res_index(&orig_op),
-        });
+        self.plane.jobs[ji].recovery.mono_copies[res_index(&orig_op)] += 1;
+        self.plane.emit(
+            self.now,
+            InstantKind::MonoCopy {
+                job: key.job.0,
+                stage: key.stage.0,
+                task: key.task.0,
+                resource: res_index(&orig_op),
+            },
+        );
         match copy_op {
             MonoOp::Compute { .. } => self.machines[home].sched.enqueue_cpu((mt, idx)),
             _ => {
@@ -3118,34 +2343,22 @@ impl Exec {
         let key = self.mts[mt].key;
         let ji = key.job.0 as usize;
         let win_res = res_index(&self.mts[mt].nodes[orig].op);
-        self.jobs[ji].recovery.mono_copy_wins[win_res] += 1;
-        self.emit_instant(cluster::InstantKind::MonoCopyWin {
-            job: key.job.0,
-            stage: key.stage.0,
-            task: key.task.0,
-            resource: win_res,
-        });
+        self.plane.jobs[ji].recovery.mono_copy_wins[win_res] += 1;
+        self.plane.emit(
+            self.now,
+            InstantKind::MonoCopyWin {
+                job: key.job.0,
+                stage: key.stage.0,
+                task: key.task.0,
+                resource: win_res,
+            },
+        );
         self.push_sample(mt, copy);
         // … then perform, exactly once for the pair, the completion
         // bookkeeping the original would have done.
         match self.mts[mt].nodes[orig].op {
             MonoOp::Compute { work } => {
-                let consumed: f64 = self.mts[mt]
-                    .nodes
-                    .iter()
-                    .filter(|n| n.copy_of.is_none())
-                    .filter(|n| matches!(n.op, MonoOp::DiskRead { .. } | MonoOp::NetFetch { .. }))
-                    .map(|n| n.op.bytes())
-                    .sum();
-                let produced: f64 = self.mts[mt]
-                    .nodes
-                    .iter()
-                    .filter(|n| n.copy_of.is_none())
-                    .filter(|n| matches!(n.op, MonoOp::DiskWrite { .. }))
-                    .map(|n| n.op.bytes())
-                    .sum();
-                self.adjust_buffered(home, produced - consumed);
-                self.mts[mt].buffered += produced - consumed;
+                self.settle_compute_buffers(mt, home);
                 self.emit(mt, copy, home, ResourceKind::Cpu, 0.0, Some(work));
             }
             MonoOp::DiskRead { bytes, .. } => {
@@ -3193,51 +2406,16 @@ impl Exec {
             // Never started: nothing to tear down, nothing wasted.
             return;
         }
-        let home = self.mts[mt].machine;
-        let sid = stream_id(mt, node);
-        // Tear the stream down and return the slot. A `contains`/`remove`
-        // miss means the loser drained into the allocator's completed list
-        // this same instant — its pending on_stream_done releases the slot
-        // via the cancelled branch instead.
-        match op {
-            MonoOp::Compute { .. } => {
-                if self.machines[home].fluid.contains(sid) {
-                    self.machines[home].fluid.remove(self.now, sid);
-                    self.machines[home].sched.finish_cpu();
-                }
-            }
-            MonoOp::DiskRead { disk, .. } => {
-                if self.machines[home].fluid.contains(sid) {
-                    self.machines[home].fluid.remove(self.now, sid);
-                    self.machines[home].sched.finish_disk(disk, false);
-                }
-            }
-            MonoOp::DiskWrite { .. } => unreachable!("writes are never speculated"),
-            MonoOp::NetFetch {
-                from, remote_disk, ..
-            } => match phase {
-                NetPhase::RemoteRead => {
-                    if self.machines[from].alive && self.machines[from].fluid.contains(sid) {
-                        self.machines[from].fluid.remove(self.now, sid);
-                        self.machines[from].sched.finish_disk(remote_disk, false);
-                    }
-                }
-                NetPhase::Transfer => {
-                    if let Some(fabric) = &mut self.fabric {
-                        fabric.remove(self.now, FlowId(sid.0));
-                    } else if self.machines[home].fluid.contains(sid) {
-                        self.machines[home].fluid.remove(self.now, sid);
-                    }
-                }
-                NetPhase::Waiting => {}
-            },
-        }
+        // A miss means the loser drained into the allocator's completed
+        // list this same instant — its pending on_stream_done releases the
+        // slot via the cancelled branch instead.
+        self.remove_stream(mt, node);
         // Waste: full requested I/O bytes once service started (the same
         // rule the slot-level engine charges), plus the elapsed service time.
         let ji = self.mts[mt].key.job.0 as usize;
-        self.jobs[ji].recovery.wasted_work_seconds += self.now.since(anchor).as_secs_f64();
+        self.plane.jobs[ji].recovery.wasted_work_seconds += self.now.since(anchor).as_secs_f64();
         if !matches!(op, MonoOp::Compute { .. }) {
-            self.jobs[ji].recovery.wasted_bytes += op.bytes();
+            self.plane.jobs[ji].recovery.wasted_bytes += op.bytes();
         }
     }
 
@@ -3245,26 +2423,83 @@ impl Exec {
     /// list when the winner tore things down: release its scheduler slot
     /// here. Waste was charged at cancellation.
     fn release_drained_loser(&mut self, mt: usize, node: usize) {
-        let op = self.mts[mt].nodes[node].op;
-        let phase = self.mts[mt].nodes[node].net_phase;
-        let home = self.mts[mt].machine;
         self.mts[mt].nodes[node].running = false;
-        match op {
-            MonoOp::Compute { .. } => self.machines[home].sched.finish_cpu(),
-            MonoOp::DiskRead { disk, .. } => self.machines[home].sched.finish_disk(disk, false),
-            MonoOp::DiskWrite { disk, .. } => self.machines[home].sched.finish_disk(disk, true),
-            MonoOp::NetFetch {
-                from, remote_disk, ..
-            } => match phase {
-                NetPhase::RemoteRead => {
-                    if self.machines[from].alive {
-                        self.machines[from].sched.finish_disk(remote_disk, false);
-                    }
+        self.release_slot(mt, node);
+    }
+
+    /// Removes `node`'s in-flight stream from whichever allocator holds it
+    /// — if that machine survives and the stream has not already drained —
+    /// and returns the scheduler slot it held. A dead machine's allocator is
+    /// a zombie and is never polled again.
+    fn remove_stream(&mut self, mt: usize, node: usize) {
+        let (op, phase) = (
+            self.mts[mt].nodes[node].op,
+            self.mts[mt].nodes[node].net_phase,
+        );
+        let sid = stream_id(mt, node);
+        let at = match (op, phase) {
+            (MonoOp::NetFetch { .. }, NetPhase::Waiting) => return,
+            (MonoOp::NetFetch { .. }, NetPhase::Transfer) => {
+                if let Some(fabric) = &mut self.fabric {
+                    fabric.remove(self.now, FlowId(sid.0));
+                    return;
                 }
-                // Transfers hold no per-stream slot.
-                NetPhase::Transfer | NetPhase::Waiting => {}
-            },
+                self.mts[mt].machine
+            }
+            // The serve read runs on the *sender's* disk.
+            (MonoOp::NetFetch { from, .. }, NetPhase::RemoteRead) => from,
+            _ => self.mts[mt].machine,
+        };
+        if self.plane.alive[at] && self.fluids[at].contains(sid) {
+            self.fluids[at].remove(self.now, sid);
+            self.release_slot(mt, node);
         }
+    }
+
+    /// Returns the scheduler slot `node`'s stream held (transfers hold none).
+    fn release_slot(&mut self, mt: usize, node: usize) {
+        let home = self.mts[mt].machine;
+        match (
+            self.mts[mt].nodes[node].op,
+            self.mts[mt].nodes[node].net_phase,
+        ) {
+            (MonoOp::Compute { .. }, _) => self.machines[home].sched.finish_cpu(),
+            (MonoOp::DiskRead { disk, .. }, _) => {
+                self.machines[home].sched.finish_disk(disk, false)
+            }
+            (MonoOp::DiskWrite { disk, .. }, _) => {
+                self.machines[home].sched.finish_disk(disk, true)
+            }
+            (
+                MonoOp::NetFetch {
+                    from, remote_disk, ..
+                },
+                NetPhase::RemoteRead,
+            ) => {
+                if self.plane.alive[from] {
+                    self.machines[from].sched.finish_disk(remote_disk, false);
+                }
+            }
+            (MonoOp::NetFetch { .. }, NetPhase::Transfer | NetPhase::Waiting) => {}
+        }
+    }
+
+    /// The compute of `mt` finished on `machine`: it consumed its input
+    /// buffers and produced its serialized output buffer. (Speculative copy
+    /// nodes are excluded: only one of each racing pair's buffers is real.)
+    fn settle_compute_buffers(&mut self, mt: usize, machine: usize) {
+        let bytes = |of: fn(&MonoOp) -> bool| -> f64 {
+            self.mts[mt]
+                .nodes
+                .iter()
+                .filter(|n| n.copy_of.is_none() && of(&n.op))
+                .map(|n| n.op.bytes())
+                .sum()
+        };
+        let consumed = bytes(|op| matches!(op, MonoOp::DiskRead { .. } | MonoOp::NetFetch { .. }));
+        let produced = bytes(|op| matches!(op, MonoOp::DiskWrite { .. }));
+        self.adjust_buffered(machine, produced - consumed);
+        self.mts[mt].buffered += produced - consumed;
     }
 
     /// Adjusts a machine's in-flight buffer accounting and flips the §3.5
@@ -3276,7 +2511,7 @@ impl Exec {
             mach.peak_buffered = mach.peak_buffered.max(mach.buffered);
             return;
         };
-        let limit = limit_frac * self.machines[machine].fluid.spec().memory;
+        let limit = limit_frac * self.fluids[machine].spec().memory;
         let mach = &mut self.machines[machine];
         mach.buffered = (mach.buffered + delta).max(0.0);
         mach.peak_buffered = mach.peak_buffered.max(mach.buffered);
@@ -3343,69 +2578,34 @@ impl Exec {
         self.machines[machine].assigned -= 1;
         let ji = key.job.0 as usize;
         let si = key.stage.0 as usize;
-        let task = self.jobs[ji].spec.stages[si].tasks[key.task.0 as usize];
-        if self.faults_on {
-            if self.mts[mt].recompute {
-                self.jobs[ji].recovery.recompute_seconds +=
-                    self.now.since(self.mts[mt].start).as_secs_f64();
-            }
-            // Lineage index: which completed tasks' outputs live on `machine`.
-            self.jobs[ji].stages[si].completed_on[machine].push(key.task.0);
-        }
+        let ti = key.task.0 as usize;
+        if let OutputSpec::ShuffleWrite { .. } =
+            self.plane.jobs[ji].spec.stages[si].tasks[ti].output
         {
-            let run = &mut self.jobs[ji].stages[si];
-            if let OutputSpec::ShuffleWrite { bytes, .. } = task.output {
-                run.shuffle_by_machine[machine] += bytes;
-                run.shuffle_epoch += 1;
-            }
-            run.completed += 1;
-            if run.completed == run.total {
-                run.done = true;
-                run.ended = Some(self.now);
-            }
+            self.mono_stages[ji][si].shuffle_epoch += 1;
         }
-        if self.jobs[ji].stages[si].done {
-            self.unlock_dependents(ji, si);
-            if self.jobs[ji].stages.iter().all(|s| s.done) {
-                self.jobs[ji].done = true;
-                self.jobs[ji].end = self.now;
-            }
-        }
-    }
-
-    /// Readies stages whose dependencies are now all complete.
-    fn unlock_dependents(&mut self, ji: usize, completed: usize) {
-        for si in 0..self.jobs[ji].spec.stages.len() {
-            let deps = &self.jobs[ji].spec.stages[si].deps;
-            if self.jobs[ji].stages[si].ready || !deps.iter().any(|d| d.0 as usize == completed) {
-                continue;
-            }
-            let all_done = deps.iter().all(|d| self.jobs[ji].stages[d.0 as usize].done);
-            if all_done {
-                self.make_stage_ready(ji, si);
-            }
-        }
+        let (start, recompute) = (self.mts[mt].start, self.mts[mt].recompute);
+        self.plane
+            .complete_task(ji, si, ti, machine, start, recompute, self.now);
     }
 
     fn into_output(self) -> MonoRunOutput {
         let makespan = self.now;
         let mut stats = self.stats;
-        for m in &self.machines {
+        for fluid in self.fluids.iter() {
             // Machine-local allocation is attributed to its own phase so the
             // fabric's share of the wall stands out at scale.
-            stats.merge(&m.fluid.stats().as_machine_alloc());
+            stats.merge(&fluid.stats().as_machine_alloc());
         }
         if let Some(fabric) = &self.fabric {
             stats.merge(&fabric.stats());
         }
-        for j in &self.jobs {
-            for s in &j.stages {
-                stats.template_build_nanos += s.control.template_build_nanos;
-                stats.instantiate_nanos += s.control.instantiate_nanos;
-                stats.template_hits += s.control.template_hits;
-                stats.template_misses += s.control.template_misses;
-                stats.template_invalidations += s.control.template_invalidations;
-            }
+        for s in self.mono_stages.iter().flatten() {
+            stats.template_build_nanos += s.control.template_build_nanos;
+            stats.instantiate_nanos += s.control.instantiate_nanos;
+            stats.template_hits += s.control.template_hits;
+            stats.template_misses += s.control.template_misses;
+            stats.template_invalidations += s.control.template_invalidations;
         }
         // main_loop stored raw loop wall time; what the allocators account
         // for is attributed to them, and task-launch time is split into the
@@ -3413,44 +2613,11 @@ impl Exec {
         stats.control_nanos = stats.control_nanos.saturating_sub(
             stats.allocator_nanos() + stats.template_build_nanos + stats.instantiate_nanos,
         );
-        let mut total_recovery = RecoveryStats::default();
-        for j in &self.jobs {
-            total_recovery.merge(&j.recovery);
-        }
-        stats.tasks_retried = total_recovery.tasks_retried;
-        stats.tasks_speculated = total_recovery.tasks_speculated;
-        stats.wasted_work_nanos = (total_recovery.wasted_work_seconds * 1e9).round() as u64;
-        stats.recompute_nanos = (total_recovery.recompute_seconds * 1e9).round() as u64;
-        stats.mono_copies = total_recovery.mono_copies_total();
-        stats.mono_copy_wins = total_recovery.mono_copy_wins_total();
-        stats.wasted_bytes = total_recovery.wasted_bytes.round() as u64;
-        stats.fetch_retries = total_recovery.fetch_retries;
-        stats.stalled_fetch_nanos = (total_recovery.stalled_fetch_seconds * 1e9).round() as u64;
-        stats.fetch_backoff_nanos = (total_recovery.fetch_backoff_seconds * 1e9).round() as u64;
-        stats.fetches_replanned = total_recovery.fetches_replanned;
         let peak_buffered = self.machines.iter().map(|m| m.peak_buffered).collect();
-        let jobs = self
-            .jobs
-            .into_iter()
-            .map(|j| JobReport {
-                job: j.id,
-                name: j.spec.name.clone(),
-                start: SimTime::ZERO,
-                end: j.end,
-                stages: j
-                    .stages
-                    .iter()
-                    .enumerate()
-                    .map(|(si, s)| StageReport {
-                        stage: StageId(si as u32),
-                        start: s.started.expect("stage never started"),
-                        end: s.ended.expect("stage never ended"),
-                        control: s.control,
-                    })
-                    .collect(),
-                recovery: j.recovery,
-            })
-            .collect();
+        let mono_stages = self.mono_stages;
+        let (jobs, instants) = self
+            .plane
+            .finish(&mut stats, |ji, si| mono_stages[ji][si].control);
         MonoRunOutput {
             jobs,
             records: self.records,
@@ -3459,7 +2626,7 @@ impl Exec {
             peak_buffered,
             makespan,
             stats,
-            instants: self.instants,
+            instants,
         }
     }
 }

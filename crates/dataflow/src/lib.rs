@@ -24,6 +24,7 @@ pub mod blocks;
 pub mod cost;
 pub mod error;
 pub mod plan;
+pub mod plane;
 pub mod reference;
 pub mod report;
 pub mod stage;
@@ -33,6 +34,7 @@ pub use blocks::BlockMap;
 pub use cost::CostModel;
 pub use error::RunError;
 pub use plan::JobBuilder;
+pub use plane::{HostFn, JobPlane, RecoveryPolicy};
 pub use reference::LocalDataset;
 pub use report::{
     JobReport, RecoveryStats, StageControlStats, StageReport, RES_CPU, RES_DISK, RES_NET,

@@ -34,6 +34,7 @@
 
 pub mod events;
 pub mod fx;
+pub mod instant;
 pub mod maxmin;
 pub mod recorder;
 pub mod resource;
@@ -43,6 +44,7 @@ pub mod time;
 
 pub use events::{EventQueue, World};
 pub use fx::{FxHashMap, FxHashSet};
+pub use instant::{InstantKind, RunInstant};
 pub use maxmin::{FlowAllocator, FlowId, MaxMinPolicy};
 pub use recorder::UtilizationRecorder;
 pub use resource::{JobId, PsResource, ResourceKind};

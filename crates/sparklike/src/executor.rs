@@ -4,11 +4,11 @@ use std::collections::{HashMap, HashSet};
 
 use cluster::{
     BufferCache, CachePolicy, ClusterSpec, DiskId, FaultAction, FaultPlan, FaultTimeline,
-    FluidMachine, MachineId, StreamDemand, StreamId, TraceSet, WriteOutcome,
+    FluidCluster, InstantKind, MachineId, StreamDemand, StreamId, TraceSet, WriteOutcome,
 };
 use dataflow::{
-    BlockMap, InputSpec, JobId, JobReport, JobSpec, OutputSpec, RecoveryStats, RunError, StageId,
-    StageReport, TaskId,
+    BlockMap, HostFn, InputSpec, JobId, JobPlane, JobReport, JobSpec, RecoveryPolicy, RunError,
+    StageId, TaskId,
 };
 use simcore::stats::median;
 use simcore::{EventQueue, SimDuration, SimStats, SimTime};
@@ -144,24 +144,9 @@ pub struct SparkRunOutput {
     pub instants: Vec<cluster::RunInstant>,
 }
 
+/// Slot-engine state of one stage, alongside the shared job plane's.
 #[derive(Debug)]
-struct StageRun {
-    ready: bool,
-    done: bool,
-    total: usize,
-    completed: usize,
-    by_pref: Vec<Vec<u32>>,
-    nopref: Vec<u32>,
-    started: Option<SimTime>,
-    ended: Option<SimTime>,
-    shuffle_by_machine: Vec<f64>,
-    shuffle_in_memory: bool,
-    /// Queues already filled once; a stage resumed after lineage loss must
-    /// not re-enqueue every task.
-    populated: bool,
-    /// Lineage index (fault runs only): task indices whose completed output
-    /// lives on each machine.
-    completed_on: Vec<Vec<u32>>,
+struct SlotStage {
     /// Logical completion per task index: guards double-counting when a
     /// speculative copy and its original race to the finish.
     task_done: Vec<bool>,
@@ -170,24 +155,6 @@ struct StageRun {
     /// Completed attempt durations split by executing machine (filled only
     /// with `per_machine_duration_pools` on).
     durations_pm: Vec<Vec<f64>>,
-    /// When a partition left this ready stage with pending tasks that no
-    /// reachable machine can host (gate-blocked), the instant that started.
-    gate_blocked_since: Option<SimTime>,
-    /// Retry deadline for the gate-blocked state, when a timeout is set.
-    gate_deadline: Option<SimTime>,
-    /// Retry budget consumed while gate-blocked.
-    gate_retries: u32,
-}
-
-#[derive(Debug)]
-struct JobRun {
-    id: JobId,
-    spec: JobSpec,
-    blocks: BlockMap,
-    stages: Vec<StageRun>,
-    done: bool,
-    end: SimTime,
-    recovery: RecoveryStats,
 }
 
 /// A pending disk write at the end of a task.
@@ -250,7 +217,6 @@ struct TaskRun {
 }
 
 struct Mach {
-    fluid: FluidMachine,
     cache: BufferCache,
     running: usize,
     write_cursor: usize,
@@ -259,9 +225,6 @@ struct Mach {
     /// entry is `(bytes, waiting task, charged to the cache)`.
     flush_pending: Vec<Vec<FlushEntry>>,
     flush_active: Vec<bool>,
-    /// False once the machine has crashed: its allocator becomes a zombie
-    /// that is never polled again and its slots never refill.
-    alive: bool,
 }
 
 /// Timer events: background cache flushes reaching their start time.
@@ -315,7 +278,13 @@ struct Exec {
     cfg: SparkConfig,
     slots: usize,
     machines: Vec<Mach>,
-    jobs: Vec<JobRun>,
+    /// Every machine's allocator. A crashed machine's becomes a zombie that
+    /// is never polled again.
+    fluids: FluidCluster,
+    /// Stage bookkeeping, lineage recovery and the partition gate.
+    plane: JobPlane,
+    /// Slot-engine state per `[job][stage]`.
+    slot_stages: Vec<Vec<SlotStage>>,
     tasks: Vec<TaskRun>,
     records: Vec<TaskRecord>,
     traces: TraceSet,
@@ -324,13 +293,9 @@ struct Exec {
     flushes: HashMap<u64, (usize, usize, Vec<FlushEntry>)>,
     aux_seq: u64,
     now: SimTime,
-    rr_job: usize,
     stats: SimStats,
     faults: FaultTimeline,
     faults_on: bool,
-    /// Failure count per `[job][stage][task]`; bounds retries.
-    attempts: Vec<Vec<Vec<u32>>>,
-    recompute_pending: HashSet<(usize, usize, usize)>,
     /// Logical tasks with a speculative copy outstanding.
     spec_copies: HashSet<(usize, usize, usize)>,
     /// Wake-up timers at the instant a running task crosses the speculation
@@ -340,21 +305,25 @@ struct Exec {
     /// True when the fault plan contains partition events; every partition
     /// hook below is gated on this so partition-free runs stay bit-identical.
     partitions_on: bool,
-    /// Directed cut pairs currently in force: `(src, dst)` means traffic
-    /// from `src` cannot reach `dst`.
-    cut_pairs: HashSet<(usize, usize)>,
-    /// Stall-timeout and backoff deadlines for stalled fetches and
-    /// gate-blocked stages.
-    fetch_timers: EventQueue<()>,
-    /// Machines partition recovery re-planned around: excluded from
-    /// placement until a heal touches them, so lineage re-runs land on
-    /// reachable machines.
-    quarantined: Vec<bool>,
-    /// True when `cfg.trace_path` is set; gates instant collection so
-    /// trace-off runs never touch the vector.
-    trace_on: bool,
-    /// Instant events collected for trace export (trace runs only).
-    instants: Vec<cluster::RunInstant>,
+}
+
+/// The partition gate of the slot engine: machine `m` can host a task of
+/// stage `(ji, si)` under the current cuts. Only shuffle fetches traverse
+/// the network in this model (disk-block and memory inputs are charged
+/// locally wherever the task runs), so every machine still owed shuffle
+/// bytes must reach `m`; the verdict is the same for every task of a stage.
+fn can_host(plane: &JobPlane, m: usize, ji: usize, si: usize, _ti: usize) -> bool {
+    if plane.cut_pairs.is_empty() {
+        return true;
+    }
+    let job = &plane.jobs[ji];
+    job.spec.stages[si].deps.iter().all(|d| {
+        job.stages[d.0 as usize]
+            .shuffle_by_machine
+            .iter()
+            .enumerate()
+            .all(|(s, &b)| b <= 0.0 || s == m || !plane.cut_pairs.contains(&(s, m)))
+    })
 }
 
 /// Runs `jobs` on a simulated `cluster` under the Spark-like architecture.
@@ -429,65 +398,45 @@ pub fn run_with_faults(
     let n_disks = cluster.machine.disks.len();
     let machines = (0..n_machines)
         .map(|_| Mach {
-            fluid: FluidMachine::new(cluster.machine.clone()),
             cache: BufferCache::new(CachePolicy::for_memory(cluster.machine.memory)),
             running: 0,
             write_cursor: 0,
             read_cursor: 0,
             flush_pending: vec![Vec::new(); n_disks],
             flush_active: vec![false; n_disks],
-            alive: true,
         })
         .collect();
-    let job_runs = jobs
-        .iter()
-        .enumerate()
-        .map(|(ji, (spec, blocks))| JobRun {
-            id: JobId(ji as u32),
-            spec: spec.clone(),
-            blocks: blocks.clone(),
-            stages: spec
-                .stages
-                .iter()
-                .map(|st| StageRun {
-                    ready: false,
-                    done: false,
-                    total: st.tasks.len(),
-                    completed: 0,
-                    by_pref: vec![Vec::new(); n_machines],
-                    nopref: Vec::new(),
-                    started: None,
-                    ended: None,
-                    shuffle_by_machine: vec![0.0; n_machines],
-                    shuffle_in_memory: st.tasks.iter().any(|t| {
-                        matches!(
-                            t.output,
-                            OutputSpec::ShuffleWrite {
-                                in_memory: true,
-                                ..
-                            }
-                        )
-                    }),
-                    populated: false,
-                    completed_on: vec![Vec::new(); n_machines],
-                    task_done: vec![false; st.tasks.len()],
-                    durations: Vec::new(),
-                    durations_pm: vec![Vec::new(); n_machines],
-                    gate_blocked_since: None,
-                    gate_deadline: None,
-                    gate_retries: 0,
-                })
-                .collect(),
-            done: false,
-            end: SimTime::ZERO,
-            recovery: RecoveryStats::default(),
-        })
-        .collect();
+    let policy = RecoveryPolicy {
+        max_task_retries: cfg.max_task_retries,
+        fetch_timeout_secs: cfg.fetch_timeout_secs,
+        fetch_max_retries: cfg.fetch_max_retries,
+        fetch_backoff_base_secs: cfg.fetch_backoff_base_secs,
+    };
     let mut exec = Exec {
         cfg: cfg.clone(),
         slots,
         machines,
-        jobs: job_runs,
+        fluids: FluidCluster::new(n_machines, &cluster.machine),
+        plane: JobPlane::new(
+            jobs,
+            n_machines,
+            policy,
+            !plan.is_empty(),
+            cfg.trace_path.is_some(),
+        ),
+        slot_stages: jobs
+            .iter()
+            .map(|(spec, _)| {
+                spec.stages
+                    .iter()
+                    .map(|st| SlotStage {
+                        task_done: vec![false; st.tasks.len()],
+                        durations: Vec::new(),
+                        durations_pm: vec![Vec::new(); n_machines],
+                    })
+                    .collect()
+            })
+            .collect(),
         tasks: Vec::new(),
         records: Vec::new(),
         traces: TraceSet::new(),
@@ -495,30 +444,13 @@ pub fn run_with_faults(
         flushes: HashMap::new(),
         aux_seq: 0,
         now: SimTime::ZERO,
-        rr_job: 0,
         stats: SimStats::new(),
         faults: plan.compile(),
         faults_on: !plan.is_empty(),
-        attempts: jobs
-            .iter()
-            .map(|(spec, _)| {
-                spec.stages
-                    .iter()
-                    .map(|st| vec![0; st.tasks.len()])
-                    .collect()
-            })
-            .collect(),
-        recompute_pending: HashSet::new(),
         spec_copies: HashSet::new(),
         spec_timers: EventQueue::new(),
         partitions_on: plan.has_partitions(),
-        cut_pairs: HashSet::new(),
-        fetch_timers: EventQueue::new(),
-        quarantined: vec![false; n_machines],
-        trace_on: cfg.trace_path.is_some(),
-        instants: Vec::new(),
     };
-    exec.prime();
     exec.main_loop()?;
     Ok(exec.into_output())
 }
@@ -528,74 +460,19 @@ impl Exec {
         self.machines.len()
     }
 
-    fn emit_instant(&mut self, kind: cluster::InstantKind) {
-        if self.trace_on {
-            self.instants.push(cluster::RunInstant {
-                time: self.now,
-                kind,
-            });
-        }
-    }
-
-    fn prime(&mut self) {
-        for ji in 0..self.jobs.len() {
-            for si in 0..self.jobs[ji].spec.stages.len() {
-                if self.jobs[ji].spec.stages[si].deps.is_empty() {
-                    self.make_stage_ready(ji, si);
-                }
-            }
-        }
-    }
-
-    fn make_stage_ready(&mut self, ji: usize, si: usize) {
-        let n_machines = self.n_machines();
-        let job = &mut self.jobs[ji];
-        let stage_spec = &job.spec.stages[si];
-        let run = &mut job.stages[si];
-        run.ready = true;
-        if run.populated {
-            // Resumed after lineage loss: the re-queued tasks are already in
-            // `nopref`, everything else completed or is still queued.
-            return;
-        }
-        run.populated = true;
-        for (ti, task) in stage_spec.tasks.iter().enumerate() {
-            match task.input {
-                InputSpec::DiskBlock { block, .. } => {
-                    run.by_pref[job.blocks.machine_of(block)].push(ti as u32)
-                }
-                InputSpec::Memory { .. } => run.by_pref[ti % n_machines].push(ti as u32),
-                InputSpec::None | InputSpec::ShuffleFetch { .. } => run.nopref.push(ti as u32),
-            }
-        }
-        for q in &mut run.by_pref {
-            q.reverse();
-        }
-        run.nopref.reverse();
-    }
-
     fn main_loop(&mut self) -> Result<(), RunError> {
         let loop_timer = std::time::Instant::now();
         let mut steps: u64 = 0;
         // Completion buffer reused across events: the speculative poll runs
         // per machine per event and must not allocate.
         let mut done_streams: Vec<StreamId> = Vec::new();
-        // Per-machine next-completion cache keyed by allocation epoch (the
-        // same scheme the monotasks executor uses): a machine whose rates
-        // did not change since the last sweep keeps its cached deadline, so
-        // the per-event cost scales with the machines that changed, not the
-        // cluster size. Bit-identical — the cache only skips recomputing a
-        // value the allocator would return unchanged.
-        let n_machines = self.n_machines();
-        let mut next_cache: Vec<Option<SimTime>> = vec![None; n_machines];
-        let mut epoch_cache: Vec<u64> = vec![u64::MAX; n_machines];
         loop {
             // One batch per event instant: flush timers and finished streams
             // first (their handlers cascade into follow-up inserts — next task
             // phases, write-back flush streams), then the assignment sweep.
             // Each machine reallocates once per event at commit; the
             // intermediate fixpoint between the waves is never observed.
-            self.begin_update_all();
+            self.fluids.begin_update_all();
             // Fault actions fire first within their instant: a crash at `t`
             // wins against completions at `t`, deterministically.
             if self.faults_on {
@@ -614,71 +491,49 @@ impl Exec {
                 self.spec_timers.pop();
             }
             for m in 0..self.n_machines() {
-                if !self.machines[m].alive {
+                if !self.plane.alive[m]
+                    || !self.fluids.poll_completed(m, self.now, &mut done_streams)
+                {
                     continue;
                 }
-                // A machine whose cached deadline (still valid: same epoch)
-                // lies in the future cannot have a completion due now.
-                let fluid = &mut self.machines[m].fluid;
-                if epoch_cache[m] == fluid.epoch() && next_cache[m].is_none_or(|t| t > self.now) {
-                    continue;
-                }
-                fluid.advance(self.now);
-                fluid.take_completed_into(self.now, &mut done_streams);
                 for &sid in &done_streams {
                     self.on_stream_done(m, sid);
                 }
             }
             while self.assign_tasks() {}
             if self.partitions_on {
-                self.arm_gate_timers();
+                self.plane.arm_gate_timers(self.now, &can_host);
             }
-            self.commit_all(self.now);
+            self.fluids.commit_all(self.now);
             for m in 0..self.n_machines() {
-                if !self.machines[m].alive {
+                if !self.plane.alive[m] {
                     continue;
                 }
-                self.machines[m].fluid.advance(self.now);
+                self.fluids[m].advance(self.now);
                 self.traces
-                    .snapshot(self.now, MachineId(m), &self.machines[m].fluid);
+                    .snapshot(self.now, MachineId(m), &self.fluids[m]);
             }
-            if self.jobs.iter().all(|j| j.done) {
+            if self.plane.all_done() {
                 break;
             }
             // Next event: stream completion, flush timer, speculation
             // wake-up, or scheduled fault action.
-            let mut next: Option<SimTime> = None;
-            for (m, machine) in self.machines.iter_mut().enumerate() {
-                if !machine.alive {
-                    next_cache[m] = None;
-                    epoch_cache[m] = machine.fluid.epoch();
-                    continue;
-                }
-                let epoch = machine.fluid.epoch();
-                if epoch_cache[m] != epoch {
-                    next_cache[m] = machine.fluid.next_completion(self.now);
-                    epoch_cache[m] = epoch;
-                }
-                if let Some(t) = next_cache[m] {
-                    next = Some(next.map_or(t, |b: SimTime| b.min(t)));
-                }
-            }
-            if let Some(t) = self.timers.peek_time() {
-                next = Some(next.map_or(t, |b: SimTime| b.min(t)));
-            }
-            if let Some(t) = self.spec_timers.peek_time() {
-                next = Some(next.map_or(t, |b: SimTime| b.min(t)));
-            }
-            if self.faults_on {
-                if let Some(t) = self.faults.next_time() {
-                    next = Some(next.map_or(t, |b: SimTime| b.min(t)));
-                }
-            }
-            if self.partitions_on {
-                if let Some(t) = self.fetch_timers.peek_time() {
-                    next = Some(next.map_or(t, |b: SimTime| b.min(t)));
-                }
-            }
+            let alive = &self.plane.alive;
+            let machines = self.fluids.next_completion(self.now, |m| alive[m]);
+            let faults = self.faults_on.then(|| self.faults.next_time()).flatten();
+            let fetch = (self.partitions_on)
+                .then(|| self.plane.fetch_timers.peek_time())
+                .flatten();
+            let next = [
+                machines,
+                self.timers.peek_time(),
+                self.spec_timers.peek_time(),
+                faults,
+                fetch,
+            ]
+            .into_iter()
+            .flatten()
+            .min();
             let Some(t) = next else {
                 if self.partitions_on {
                     if let Some(e) = self.partition_starvation_error() {
@@ -703,24 +558,20 @@ impl Exec {
     /// Applies every fault action due at `now`, inside the open batch.
     fn apply_due_faults(&mut self) -> Result<(), RunError> {
         while let Some(action) = self.faults.pop_due(self.now) {
-            if self.trace_on {
-                self.emit_instant(cluster::InstantKind::from(&action));
-            }
+            self.plane.emit(self.now, InstantKind::from(&action));
             match action {
                 FaultAction::SetDiskScale {
                     machine,
                     disk,
                     factor,
                 } => {
-                    if self.machines[machine].alive {
-                        self.machines[machine]
-                            .fluid
-                            .set_disk_scale(self.now, disk, factor);
+                    if self.plane.alive[machine] {
+                        self.fluids[machine].set_disk_scale(self.now, disk, factor);
                     }
                 }
                 FaultAction::SetLinkScale { machine, factor } => {
-                    if self.machines[machine].alive {
-                        self.machines[machine].fluid.set_nic_scale(self.now, factor);
+                    if self.plane.alive[machine] {
+                        self.fluids[machine].set_nic_scale(self.now, factor);
                     }
                 }
                 FaultAction::Crash { machine } => self.crash_machine(machine)?,
@@ -736,10 +587,10 @@ impl Exec {
     /// write-back work, and re-queues the completed upstream tasks whose
     /// shuffle outputs lived on it (lineage recomputation).
     fn crash_machine(&mut self, m: usize) -> Result<(), RunError> {
-        if !self.machines[m].alive {
+        if !self.plane.alive[m] {
             return Ok(());
         }
-        self.machines[m].alive = false;
+        self.plane.alive[m] = false;
         for t_idx in 0..self.tasks.len() {
             let t = &self.tasks[t_idx];
             if t.done || t.killed {
@@ -748,12 +599,7 @@ impl Exec {
             let on_dead = t.machine == m;
             // A fetch is one merged stream over all senders; losing any
             // sender fails the whole attempt (Spark's FetchFailed).
-            let dead_fetch = !on_dead
-                && t.fetch_live
-                && self.jobs[t.job].spec.stages[t.stage]
-                    .deps
-                    .iter()
-                    .any(|d| self.jobs[t.job].stages[d.0 as usize].shuffle_by_machine[m] > 0.0);
+            let dead_fetch = !on_dead && t.fetch_live && self.task_fetches_from(t_idx, m);
             if on_dead || dead_fetch {
                 self.abort_task(t_idx)?;
             }
@@ -764,8 +610,8 @@ impl Exec {
             q.clear();
         }
         self.flushes.retain(|_, (machine, _, _)| *machine != m);
-        self.lose_shuffle_outputs(m)?;
-        if !self.machines.iter().any(|x| x.alive) {
+        self.lose_outputs_on(m)?;
+        if !self.plane.alive.contains(&true) {
             return Err(RunError::all_machines_crashed(self.now));
         }
         Ok(())
@@ -777,7 +623,7 @@ impl Exec {
     /// missing — so the phase leaves the allocator with its remaining
     /// fraction saved for the heal.
     fn apply_cut(&mut self, src: usize, dst: usize) {
-        if !self.cut_pairs.insert((src, dst)) {
+        if !self.plane.cut_pairs.insert((src, dst)) {
             return;
         }
         for t_idx in 0..self.tasks.len() {
@@ -790,7 +636,7 @@ impl Exec {
             }
             if self.tasks[t_idx].parked.is_none() {
                 let sid = task_stream(t_idx, self.tasks[t_idx].phases.len());
-                if let Some(frac) = self.machines[dst].fluid.remove(self.now, sid) {
+                if let Some(frac) = self.fluids[dst].remove(self.now, sid) {
                     let demand = self.tasks[t_idx]
                         .cur_demand
                         .as_ref()
@@ -807,11 +653,11 @@ impl Exec {
     /// senders are all reachable again. Heals also lift quarantine from both
     /// endpoints: connectivity changed, so placement may try them again.
     fn apply_heal(&mut self, src: usize, dst: usize) {
-        if !self.cut_pairs.remove(&(src, dst)) {
+        if !self.plane.cut_pairs.remove(&(src, dst)) {
             return;
         }
-        self.quarantined[src] = false;
-        self.quarantined[dst] = false;
+        self.plane.quarantined[src] = false;
+        self.plane.quarantined[dst] = false;
         for t_idx in 0..self.tasks.len() {
             let t = &self.tasks[t_idx];
             if t.done || t.killed || t.machine != dst {
@@ -820,19 +666,21 @@ impl Exec {
             if t.stall_since.is_none() && t.parked.is_none() {
                 continue;
             }
-            let still_cut = (0..self.n_machines())
-                .any(|s| self.cut_pairs.contains(&(s, dst)) && self.task_fetches_from(t_idx, s));
+            let still_cut = (0..self.n_machines()).any(|s| {
+                self.plane.cut_pairs.contains(&(s, dst)) && self.task_fetches_from(t_idx, s)
+            });
             if still_cut {
                 continue;
             }
             let ji = self.tasks[t_idx].job;
             if let Some(since) = self.tasks[t_idx].stall_since.take() {
-                self.jobs[ji].recovery.stalled_fetch_seconds += self.now.since(since).as_secs_f64();
+                self.plane.jobs[ji].recovery.stalled_fetch_seconds +=
+                    self.now.since(since).as_secs_f64();
             }
             self.tasks[t_idx].stall_deadline = None;
             if let Some(demand) = self.tasks[t_idx].parked.take() {
                 let sid = task_stream(t_idx, self.tasks[t_idx].phases.len());
-                self.machines[dst].fluid.insert(self.now, sid, demand);
+                self.fluids[dst].insert(self.now, sid, demand);
             }
         }
     }
@@ -840,10 +688,16 @@ impl Exec {
     /// Whether attempt `t_idx`'s stage still expects shuffle bytes from `src`.
     fn task_fetches_from(&self, t_idx: usize, src: usize) -> bool {
         let t = &self.tasks[t_idx];
-        self.jobs[t.job].spec.stages[t.stage]
+        self.task_fetches_from_stage(t.job, t.stage, src)
+    }
+
+    /// Whether stage `(ji, si)` still expects shuffle bytes from `src`.
+    fn task_fetches_from_stage(&self, ji: usize, si: usize, src: usize) -> bool {
+        let job = &self.plane.jobs[ji];
+        job.spec.stages[si]
             .deps
             .iter()
-            .any(|d| self.jobs[t.job].stages[d.0 as usize].shuffle_by_machine[src] > 0.0)
+            .any(|d| job.stages[d.0 as usize].shuffle_by_machine[src] > 0.0)
     }
 
     /// Starts the stall clock on a freshly parked attempt and, when a
@@ -852,44 +706,32 @@ impl Exec {
         if self.tasks[t_idx].stall_since.is_none() {
             self.tasks[t_idx].stall_since = Some(self.now);
         }
-        if let Some(secs) = self.cfg.fetch_timeout_secs {
-            if self.tasks[t_idx].stall_deadline.is_none() {
-                let at = self.now + SimDuration::from_secs_f64(secs);
-                self.tasks[t_idx].stall_deadline = Some(at);
-                self.fetch_timers.schedule(at, ());
-            }
+        if self.tasks[t_idx].stall_deadline.is_none() {
+            self.tasks[t_idx].stall_deadline = self.plane.arm_timeout(self.now);
         }
     }
 
     /// Charges a stalled fetch that is being given up on: accumulates its
     /// stall time, drops its parked stream, and counts the re-plan.
     fn account_stalled_fetch(&mut self, t_idx: usize) {
-        let ji = self.tasks[t_idx].job;
-        if let Some(since) = self.tasks[t_idx].stall_since.take() {
-            self.jobs[ji].recovery.stalled_fetch_seconds += self.now.since(since).as_secs_f64();
-        }
-        self.tasks[t_idx].stall_deadline = None;
-        self.tasks[t_idx].parked = None;
-        self.jobs[ji].recovery.fetches_replanned += 1;
-        let si = self.tasks[t_idx].stage;
-        self.emit_instant(cluster::InstantKind::FetchReplan {
-            job: ji as u32,
-            stage: si as u32,
-        });
+        let t = &mut self.tasks[t_idx];
+        let stalled = t
+            .stall_since
+            .take()
+            .map_or(0.0, |since| self.now.since(since).as_secs_f64());
+        t.stall_deadline = None;
+        t.parked = None;
+        let (ji, si) = (t.job, t.stage);
+        self.plane.note_replanned(ji, si, stalled, 1, self.now);
     }
 
     /// Drives stall timeouts: burns retries with exponential backoff, and
     /// once a fetch (or a gate-blocked stage) exhausts its budget, re-plans
     /// around the unreachable sender or fails fast.
     fn check_partition_recovery(&mut self) -> Result<(), RunError> {
-        while self.fetch_timers.peek_time().is_some_and(|t| t <= self.now) {
-            self.fetch_timers.pop();
-        }
-        if self.cfg.fetch_timeout_secs.is_none() {
+        if !self.plane.drain_fetch_timers(self.now) {
             return Ok(());
         }
-        let max = self.cfg.fetch_max_retries;
-        let base = self.cfg.fetch_backoff_base_secs;
         for t_idx in 0..self.tasks.len() {
             let due = {
                 let t = &self.tasks[t_idx];
@@ -898,71 +740,22 @@ impl Exec {
             if !due {
                 continue;
             }
-            let ji = self.tasks[t_idx].job;
             self.tasks[t_idx].fetch_retries += 1;
-            let retries = self.tasks[t_idx].fetch_retries;
-            self.jobs[ji].recovery.fetch_retries += 1;
-            let si = self.tasks[t_idx].stage;
-            self.emit_instant(cluster::InstantKind::FetchRetry {
-                job: ji as u32,
-                stage: si as u32,
-                attempt: retries,
-            });
-            if retries <= max {
-                let backoff = base * 2f64.powi(retries as i32 - 1);
-                self.jobs[ji].recovery.fetch_backoff_seconds += backoff;
-                let mut at = self.now + SimDuration::from_secs_f64(backoff);
-                if at <= self.now {
-                    at = SimTime(self.now.0 + 1);
-                }
-                self.tasks[t_idx].stall_deadline = Some(at);
-                self.fetch_timers.schedule(at, ());
-            } else {
-                self.replan_stalled_attempt(t_idx, retries)?;
+            let (ji, si, retries) = {
+                let t = &self.tasks[t_idx];
+                (t.job, t.stage, t.fetch_retries)
+            };
+            match self.plane.fetch_retry(ji, si, retries, self.now) {
+                Some(at) => self.tasks[t_idx].stall_deadline = Some(at),
+                None => self.replan_stalled_attempt(t_idx, retries)?,
             }
         }
-        for ji in 0..self.jobs.len() {
-            for si in 0..self.jobs[ji].stages.len() {
-                let due = self.jobs[ji].stages[si]
-                    .gate_deadline
-                    .is_some_and(|d| d <= self.now);
-                if !due {
-                    continue;
-                }
-                if !self.stage_gate_blocked(ji, si) {
-                    let run = &mut self.jobs[ji].stages[si];
-                    run.gate_blocked_since = None;
-                    run.gate_deadline = None;
-                    run.gate_retries = 0;
-                    continue;
-                }
-                self.jobs[ji].stages[si].gate_retries += 1;
-                let retries = self.jobs[ji].stages[si].gate_retries;
-                self.jobs[ji].recovery.fetch_retries += 1;
-                self.emit_instant(cluster::InstantKind::FetchRetry {
-                    job: ji as u32,
-                    stage: si as u32,
-                    attempt: retries,
-                });
-                if retries <= max {
-                    let backoff = base * 2f64.powi(retries as i32 - 1);
-                    self.jobs[ji].recovery.fetch_backoff_seconds += backoff;
-                    let mut at = self.now + SimDuration::from_secs_f64(backoff);
-                    if at <= self.now {
-                        at = SimTime(self.now.0 + 1);
-                    }
-                    self.jobs[ji].stages[si].gate_deadline = Some(at);
-                    self.fetch_timers.schedule(at, ());
-                } else {
-                    let ti = self.first_pending_task(ji, si);
-                    {
-                        let run = &mut self.jobs[ji].stages[si];
-                        run.gate_blocked_since = None;
-                        run.gate_deadline = None;
-                    }
-                    self.resolve_unreachable(ji, si, ti, retries)?;
-                }
-            }
+        let mut cursor = (0, 0);
+        while let Some((ji, si, ti, retries)) =
+            self.plane
+                .next_exhausted_gate(&mut cursor, self.now, &can_host)
+        {
+            self.resolve_unreachable(ji, si, ti, retries)?;
         }
         Ok(())
     }
@@ -977,39 +770,16 @@ impl Exec {
         };
         self.account_stalled_fetch(t_idx);
         self.abort_task(t_idx)?;
-        let any_host = (0..self.n_machines())
-            .any(|m| self.machines[m].alive && !self.quarantined[m] && self.can_host(m, ji, si));
-        if any_host {
+        if self.plane.hostable(ji, si, ti, &can_host) {
             return Ok(());
         }
         self.resolve_unreachable(ji, si, ti, retries)
     }
 
-    /// Whether machine `m` can host a task of stage `(ji, si)` under the
-    /// current cuts. Only shuffle fetches traverse the network in this model
-    /// (disk-block and memory inputs are charged locally wherever the task
-    /// runs), so the gate is: every machine still owed shuffle bytes must
-    /// reach `m`.
-    fn can_host(&self, m: usize, ji: usize, si: usize) -> bool {
-        if self.cut_pairs.is_empty() {
-            return true;
-        }
-        for d in &self.jobs[ji].spec.stages[si].deps {
-            let sbm = &self.jobs[ji].stages[d.0 as usize].shuffle_by_machine;
-            for (s, &b) in sbm.iter().enumerate() {
-                if b > 0.0 && s != m && self.cut_pairs.contains(&(s, m)) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Sender-level re-planning for a task no reachable machine can host:
-    /// pick the live machine `m*` reaching the most senders, and for every
-    /// sender cut from it, re-run the producers elsewhere (lineage
-    /// resubmission) — or fail fast with [`RunError::Unreachable`] if some
-    /// producer has nowhere reachable to go.
+    /// for every sender the job plane's chosen receiver cannot reach, abort
+    /// the attempts still fetching from it, re-run its producers elsewhere
+    /// (lineage resubmission), and keep new work off it until a heal.
     fn resolve_unreachable(
         &mut self,
         ji: usize,
@@ -1017,72 +787,10 @@ impl Exec {
         ti: usize,
         retries: u32,
     ) -> Result<(), RunError> {
-        let deps: Vec<usize> = self.jobs[ji].spec.stages[si]
-            .deps
-            .iter()
-            .map(|d| d.0 as usize)
-            .collect();
-        let n = self.n_machines();
-        let senders: Vec<usize> = (0..n)
-            .filter(|&s| {
-                deps.iter()
-                    .any(|&d| self.jobs[ji].stages[d].shuffle_by_machine[s] > 0.0)
-            })
-            .collect();
-        let unreachable = |machine: usize| RunError::Unreachable {
-            job: JobId(ji as u32),
-            stage: StageId(si as u32),
-            task: TaskId(ti as u32),
-            machine,
-            retries,
-        };
-        if senders.is_empty() {
-            // No shuffle lineage to resubmit: nothing recovery can move.
-            return Err(unreachable(self.first_unreachable_source(ji, si)));
-        }
-        let mut best: Option<(usize, usize)> = None;
-        for m in 0..n {
-            if !self.machines[m].alive || self.quarantined[m] {
-                continue;
-            }
-            let reach = senders
-                .iter()
-                .filter(|&&s| s == m || !self.cut_pairs.contains(&(s, m)))
-                .count();
-            if best.is_none_or(|(_, r)| reach > r) {
-                best = Some((m, reach));
-            }
-        }
-        let Some((mstar, _)) = best else {
-            return Err(RunError::all_machines_crashed(self.now));
-        };
-        let offending: Vec<usize> = senders
-            .iter()
-            .copied()
-            .filter(|&s| s != mstar && self.cut_pairs.contains(&(s, mstar)))
-            .collect();
-        // Feasibility first: every offending sender's producers must have a
-        // live, unquarantined machine that reaches `m*` to re-run on —
-        // otherwise resubmission just moves the starvation.
-        for &s in &offending {
-            for &d in &deps {
-                if self.jobs[ji].stages[d].completed_on[s].is_empty() {
-                    continue;
-                }
-                let feasible = (0..n).any(|m| {
-                    m != s
-                        && self.machines[m].alive
-                        && !self.quarantined[m]
-                        && !self.cut_pairs.contains(&(m, mstar))
-                        && self.can_host(m, ji, d)
-                });
-                if !feasible {
-                    return Err(unreachable(s));
-                }
-            }
-        }
-        for &s in &offending {
-            // Abort every attempt still fetching from the unreachable sender.
+        let offending = self
+            .plane
+            .unreachable_senders(ji, si, ti, retries, self.now, &can_host)?;
+        for s in offending {
             for t_idx in 0..self.tasks.len() {
                 let live = {
                     let t = &self.tasks[t_idx];
@@ -1093,73 +801,10 @@ impl Exec {
                     self.abort_task(t_idx)?;
                 }
             }
-            // Lineage resubmission: re-run the producers whose outputs sit
-            // on the unreachable machine, and keep new work off it until a
-            // heal changes connectivity.
-            self.lose_shuffle_outputs(s)?;
-            self.quarantined[s] = true;
+            self.lose_outputs_on(s)?;
+            self.plane.quarantined[s] = true;
         }
         Ok(())
-    }
-
-    /// A ready stage with pending tasks none of the live, unquarantined
-    /// machines can host: the whole stage is starved by cuts.
-    fn stage_gate_blocked(&self, ji: usize, si: usize) -> bool {
-        let run = &self.jobs[ji].stages[si];
-        if !run.ready || run.done {
-            return false;
-        }
-        let pending = !run.nopref.is_empty() || run.by_pref.iter().any(|q| !q.is_empty());
-        if !pending {
-            return false;
-        }
-        !(0..self.n_machines())
-            .any(|m| self.machines[m].alive && !self.quarantined[m] && self.can_host(m, ji, si))
-    }
-
-    /// An exemplar pending task of a gate-blocked stage (the next one the
-    /// scheduler would have popped), for error attribution.
-    fn first_pending_task(&self, ji: usize, si: usize) -> usize {
-        let run = &self.jobs[ji].stages[si];
-        if let Some(&ti) = run.nopref.last() {
-            return ti as usize;
-        }
-        for q in &run.by_pref {
-            if let Some(&ti) = q.last() {
-                return ti as usize;
-            }
-        }
-        0
-    }
-
-    /// After assignment: start (or clear) the gate-blocked clock on stages
-    /// no reachable machine can host, so the retry/backoff machinery covers
-    /// pending tasks as well as in-flight fetches.
-    fn arm_gate_timers(&mut self) {
-        let timeout = self.cfg.fetch_timeout_secs;
-        for ji in 0..self.jobs.len() {
-            for si in 0..self.jobs[ji].stages.len() {
-                let blocked = self.stage_gate_blocked(ji, si);
-                let now = self.now;
-                let run = &mut self.jobs[ji].stages[si];
-                if !blocked {
-                    if run.gate_blocked_since.is_some() {
-                        run.gate_blocked_since = None;
-                        run.gate_deadline = None;
-                        run.gate_retries = 0;
-                    }
-                    continue;
-                }
-                if run.gate_blocked_since.is_none() {
-                    run.gate_blocked_since = Some(now);
-                    if let Some(secs) = timeout {
-                        let at = now + SimDuration::from_secs_f64(secs);
-                        run.gate_deadline = Some(at);
-                        self.fetch_timers.schedule(at, ());
-                    }
-                }
-            }
-        }
     }
 
     /// Nothing can ever run again but jobs remain: attribute the starvation.
@@ -1172,10 +817,8 @@ impl Exec {
             }
             let src = (0..self.n_machines())
                 .find(|&s| {
-                    self.cut_pairs.contains(&(s, t.machine))
-                        && self.jobs[t.job].spec.stages[t.stage].deps.iter().any(|d| {
-                            self.jobs[t.job].stages[d.0 as usize].shuffle_by_machine[s] > 0.0
-                        })
+                    self.plane.cut_pairs.contains(&(s, t.machine))
+                        && self.task_fetches_from_stage(t.job, t.stage, s)
                 })
                 .unwrap_or(t.machine);
             return Some(RunError::Unreachable {
@@ -1186,81 +829,23 @@ impl Exec {
                 retries: t.fetch_retries,
             });
         }
-        for ji in 0..self.jobs.len() {
-            for si in 0..self.jobs[ji].stages.len() {
-                if !self.stage_gate_blocked(ji, si) {
-                    continue;
-                }
-                let ti = self.first_pending_task(ji, si);
-                return Some(RunError::Unreachable {
-                    job: JobId(ji as u32),
-                    stage: StageId(si as u32),
-                    task: TaskId(ti as u32),
-                    machine: self.first_unreachable_source(ji, si),
-                    retries: self.jobs[ji].stages[si].gate_retries,
-                });
-            }
-        }
-        None
+        self.plane.gate_starvation_error()
     }
 
-    /// First machine owed shuffle bytes for `(ji, si)` that some live
-    /// machine cannot reach — the exemplar source named in starvation
-    /// errors.
-    fn first_unreachable_source(&self, ji: usize, si: usize) -> usize {
-        for d in &self.jobs[ji].spec.stages[si].deps {
-            let sbm = &self.jobs[ji].stages[d.0 as usize].shuffle_by_machine;
-            for (s, &b) in sbm.iter().enumerate() {
-                if b > 0.0
-                    && (0..self.n_machines())
-                        .any(|m| self.machines[m].alive && self.cut_pairs.contains(&(s, m)))
-                {
-                    return s;
-                }
-            }
-        }
-        0
-    }
-
-    /// Tears down one in-flight attempt: removes its active stream from its
-    /// machine's allocator (if that machine survives), scrubs any flush
-    /// waiter reference, frees the slot, and re-queues the logical task
-    /// unless another live attempt of it still runs.
+    /// Tears down one in-flight attempt (see [`Exec::kill_task`]) and
+    /// re-queues the logical task unless another live attempt of it still
+    /// runs or it already completed.
     fn abort_task(&mut self, t_idx: usize) -> Result<(), RunError> {
-        let (ji, si, ti, machine, start, speculative, io_started) = {
-            let t = &self.tasks[t_idx];
-            (
-                t.job,
-                t.stage,
-                t.task,
-                t.machine,
-                t.start,
-                t.speculative,
-                t.io_started,
-            )
-        };
-        self.tasks[t_idx].killed = true;
-        if self.machines[machine].alive {
-            let sid = task_stream(t_idx, self.tasks[t_idx].phases.len());
-            if self.machines[machine].fluid.contains(sid) {
-                self.machines[machine].fluid.remove(self.now, sid);
-            }
-            self.scrub_flush_waiter(machine, t_idx);
-            self.machines[machine].running -= 1;
-        }
-        self.jobs[ji].recovery.wasted_work_seconds += self.now.since(start).as_secs_f64();
-        self.jobs[ji].recovery.wasted_bytes += io_started;
-        if speculative {
-            self.spec_copies.remove(&(ji, si, ti));
-        }
+        self.kill_task(t_idx);
+        let t = &self.tasks[t_idx];
+        let (ji, si, ti, recompute) = (t.job, t.stage, t.task, t.recompute);
         let other_attempt_live = self.tasks.iter().enumerate().any(|(i, t)| {
             i != t_idx && t.job == ji && t.stage == si && t.task == ti && !t.done && !t.killed
         });
-        if other_attempt_live || self.jobs[ji].stages[si].task_done[ti] {
+        if other_attempt_live || self.slot_stages[ji][si].task_done[ti] {
             return Ok(());
         }
-        let recompute = self.tasks[t_idx].recompute;
-        self.requeue_task(ji, si, ti, recompute)
+        self.plane.requeue_task(ji, si, ti, recompute, self.now)
     }
 
     /// Drops any flush-entry reference to `t_idx` so a later write-back
@@ -1285,113 +870,17 @@ impl Exec {
         }
     }
 
-    /// Bounded-retry re-queue of one logical task.
-    fn requeue_task(
-        &mut self,
-        ji: usize,
-        si: usize,
-        ti: usize,
-        recompute: bool,
-    ) -> Result<(), RunError> {
-        let a = &mut self.attempts[ji][si][ti];
-        *a += 1;
-        if *a > self.cfg.max_task_retries {
-            return Err(RunError::RetriesExhausted {
-                job: JobId(ji as u32),
-                stage: StageId(si as u32),
-                task: TaskId(ti as u32),
-                attempts: *a,
-            });
-        }
-        self.jobs[ji].recovery.tasks_retried += 1;
-        self.emit_instant(cluster::InstantKind::TaskRetry {
-            job: ji as u32,
-            stage: si as u32,
-            task: ti as u32,
-            recompute,
-        });
-        if recompute {
-            self.recompute_pending.insert((ji, si, ti));
-        }
-        self.jobs[ji].stages[si].nopref.push(ti as u32);
-        Ok(())
-    }
-
-    /// Spark-style stage resubmission: for every stage with completed shuffle
-    /// output stored on the dead machine `m` that an unfinished stage still
-    /// needs, re-queue exactly the tasks that produced those bytes (the
-    /// lineage index `completed_on[m]`) and close downstream stages until the
-    /// data exists again.
-    fn lose_shuffle_outputs(&mut self, m: usize) -> Result<(), RunError> {
-        for ji in 0..self.jobs.len() {
-            let n_stages = self.jobs[ji].stages.len();
-            for si in 0..n_stages {
-                if self.jobs[ji].stages[si].shuffle_by_machine[m] <= 0.0 {
-                    continue;
+    /// Lineage loss of machine `m`'s shuffle outputs (crash or quarantine):
+    /// the job plane re-queues their producers; a re-run task is no longer
+    /// logically done.
+    fn lose_outputs_on(&mut self, m: usize) -> Result<(), RunError> {
+        let slot_stages = &mut self.slot_stages;
+        self.plane
+            .lose_shuffle_outputs(m, self.now, |_, ji, si, lost| {
+                for &ti in lost {
+                    slot_stages[ji][si].task_done[ti as usize] = false;
                 }
-                let needed = (0..n_stages).any(|sj| {
-                    !self.jobs[ji].stages[sj].done
-                        && self.jobs[ji].spec.stages[sj]
-                            .deps
-                            .iter()
-                            .any(|d| d.0 as usize == si)
-                });
-                if !needed {
-                    // Every consumer already finished; the lost bytes will
-                    // never be fetched again.
-                    continue;
-                }
-                let lost = std::mem::take(&mut self.jobs[ji].stages[si].completed_on[m]);
-                if lost.is_empty() {
-                    continue;
-                }
-                let was_done = {
-                    let run = &mut self.jobs[ji].stages[si];
-                    run.shuffle_by_machine[m] = 0.0;
-                    run.completed -= lost.len();
-                    for &ti in &lost {
-                        run.task_done[ti as usize] = false;
-                    }
-                    let was_done = run.done;
-                    run.done = false;
-                    run.ended = None;
-                    was_done
-                };
-                for ti in lost {
-                    self.requeue_task(ji, si, ti as usize, true)?;
-                }
-                if was_done {
-                    for sj in 0..n_stages {
-                        let depends = self.jobs[ji].spec.stages[sj]
-                            .deps
-                            .iter()
-                            .any(|d| d.0 as usize == si);
-                        if depends
-                            && self.jobs[ji].stages[sj].ready
-                            && !self.jobs[ji].stages[sj].done
-                        {
-                            // Pending consumers wait for the recomputation;
-                            // in-flight consumers fetching from `m` were
-                            // already aborted above.
-                            self.jobs[ji].stages[sj].ready = false;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn begin_update_all(&mut self) {
-        for m in &mut self.machines {
-            m.fluid.begin_update();
-        }
-    }
-
-    fn commit_all(&mut self, now: SimTime) {
-        for m in &mut self.machines {
-            m.fluid.commit(now);
-        }
+            })
     }
 
     fn assign_tasks(&mut self) -> bool {
@@ -1401,14 +890,18 @@ impl Exec {
         loop {
             let mut assigned_any = false;
             for m in 0..self.n_machines() {
-                if !self.machines[m].alive {
+                if !self.plane.alive[m] {
                     continue;
                 }
-                if self.partitions_on && self.quarantined[m] {
+                if self.partitions_on && self.plane.quarantined[m] {
                     continue;
                 }
                 if self.machines[m].running < self.slots {
-                    if let Some((ji, si, ti)) = self.pick_task(m) {
+                    // Partition gate: a stage whose shuffle senders cannot
+                    // all reach `m` must not land here (its fetch would
+                    // stall on arrival).
+                    let gate = self.partitions_on.then_some(&can_host as &HostFn);
+                    if let Some((ji, si, ti)) = self.plane.pick_task(m, self.now, true, gate) {
                         self.launch_task(m, ji, si, ti, false);
                         assigned_any = true;
                         changed = true;
@@ -1439,12 +932,12 @@ impl Exec {
             if t.done || t.killed || t.speculative || t.machine == m {
                 continue;
             }
-            if self.partitions_on && !self.can_host(m, t.job, t.stage) {
+            if self.partitions_on && !can_host(&self.plane, m, t.job, t.stage, t.task) {
                 continue;
             }
             let key = (t.job, t.stage, t.task);
-            let run = &self.jobs[t.job].stages[t.stage];
-            if run.task_done[t.task] || self.spec_copies.contains(&key) {
+            if self.slot_stages[t.job][t.stage].task_done[t.task] || self.spec_copies.contains(&key)
+            {
                 continue;
             }
             if !self.stage_has_enough_samples(t.job, t.stage) {
@@ -1462,7 +955,7 @@ impl Exec {
     /// or — with per-machine pools on — the median of per-machine medians,
     /// so one degraded machine cannot drag the threshold up.
     fn stage_median(&self, ji: usize, si: usize) -> f64 {
-        let run = &self.jobs[ji].stages[si];
+        let run = &self.slot_stages[ji][si];
         if !self.cfg.per_machine_duration_pools {
             return median(&run.durations);
         }
@@ -1479,69 +972,18 @@ impl Exec {
     /// complete, and with per-machine pools on, at least two machines
     /// represented (a single machine's pool carries no comparison signal).
     fn stage_has_enough_samples(&self, ji: usize, si: usize) -> bool {
-        let run = &self.jobs[ji].stages[si];
-        if run.durations.len() * 2 < run.total {
+        let run = &self.slot_stages[ji][si];
+        if run.durations.len() * 2 < self.plane.jobs[ji].stages[si].total {
             return false;
         }
         !self.cfg.per_machine_duration_pools
             || run.durations_pm.iter().filter(|v| !v.is_empty()).count() >= 2
     }
 
-    fn pick_task(&mut self, m: usize) -> Option<(usize, usize, usize)> {
-        let n_jobs = self.jobs.len();
-        for jo in 0..n_jobs {
-            let ji = (self.rr_job + jo) % n_jobs;
-            for si in 0..self.jobs[ji].stages.len() {
-                {
-                    let run = &self.jobs[ji].stages[si];
-                    if !run.ready || run.done {
-                        continue;
-                    }
-                }
-                // Partition gate: a stage whose shuffle senders cannot all
-                // reach `m` must not land here (its fetch would stall on
-                // arrival).
-                if self.partitions_on && !self.can_host(m, ji, si) {
-                    continue;
-                }
-                if let Some(ti) = self.jobs[ji].stages[si].by_pref[m].pop() {
-                    self.rr_job = ji + 1;
-                    return Some((ji, si, ti as usize));
-                }
-            }
-        }
-        for jo in 0..n_jobs {
-            let ji = (self.rr_job + jo) % n_jobs;
-            for si in 0..self.jobs[ji].stages.len() {
-                {
-                    let run = &self.jobs[ji].stages[si];
-                    if !run.ready || run.done {
-                        continue;
-                    }
-                }
-                if self.partitions_on && !self.can_host(m, ji, si) {
-                    continue;
-                }
-                let run = &mut self.jobs[ji].stages[si];
-                if let Some(ti) = run.nopref.pop() {
-                    self.rr_job = ji + 1;
-                    return Some((ji, si, ti as usize));
-                }
-                for q in &mut run.by_pref {
-                    if let Some(ti) = q.pop() {
-                        self.rr_job = ji + 1;
-                        return Some((ji, si, ti as usize));
-                    }
-                }
-            }
-        }
-        None
-    }
-
     /// Builds the task's pipelined phases and starts the first one.
     fn launch_task(&mut self, m: usize, ji: usize, si: usize, ti: usize, speculative: bool) {
-        let n_disks = self.machines[m].fluid.spec().disks.len();
-        let mut spec = self.jobs[ji].spec.stages[si].tasks[ti];
+        let n_disks = self.fluids[m].spec().disks.len();
+        let mut spec = self.plane.jobs[ji].spec.stages[si].tasks[ti];
         let mut recompute = false;
         if speculative {
             // The copy inherits the original's recompute attribution and
@@ -1551,16 +993,19 @@ impl Exec {
                 t.job == ji && t.stage == si && t.task == ti && !t.done && !t.killed && t.recompute
             });
             self.spec_copies.insert((ji, si, ti));
-            self.jobs[ji].recovery.tasks_speculated += 1;
-            self.emit_instant(cluster::InstantKind::TaskSpeculate {
-                job: ji as u32,
-                stage: si as u32,
-                task: ti as u32,
-                machine: m,
-            });
+            self.plane.jobs[ji].recovery.tasks_speculated += 1;
+            self.plane.emit(
+                self.now,
+                InstantKind::TaskSpeculate {
+                    job: ji as u32,
+                    stage: si as u32,
+                    task: ti as u32,
+                    machine: m,
+                },
+            );
         } else if self.faults_on {
-            recompute = self.recompute_pending.remove(&(ji, si, ti));
-            if self.attempts[ji][si][ti] == 0 {
+            recompute = self.plane.take_recompute(ji, si, ti);
+            if self.plane.attempts(ji, si, ti) == 0 {
                 if let Some(f) = self.faults.straggle_factor(si, ti) {
                     spec.cpu.deser *= f;
                     spec.cpu.compute *= f;
@@ -1574,7 +1019,7 @@ impl Exec {
         match spec.input {
             InputSpec::None | InputSpec::Memory { .. } => {}
             InputSpec::DiskBlock { block, bytes } => {
-                let d = self.jobs[ji].blocks.disk_of(block);
+                let d = self.plane.jobs[ji].blocks.disk_of(block);
                 p1.disk_read[d] += bytes;
             }
             InputSpec::ShuffleFetch { .. } => {
@@ -1648,20 +1093,17 @@ impl Exec {
             cur_demand: None,
         });
         self.machines[m].running += 1;
-        if self.jobs[ji].stages[si].started.is_none() {
-            self.jobs[ji].stages[si].started = Some(self.now);
-        }
         self.start_next_phase(t_idx);
     }
 
     /// `(sender, bytes, via_disk)` for a reduce task on machine `m`.
     fn fetch_shares(&mut self, ji: usize, si: usize, _m: usize) -> Vec<(usize, f64, bool)> {
         let n_machines = self.n_machines();
-        let n_tasks = self.jobs[ji].spec.stages[si].tasks.len() as f64;
-        let deps = self.jobs[ji].spec.stages[si].deps.clone();
+        let n_tasks = self.plane.jobs[ji].spec.stages[si].tasks.len() as f64;
+        let deps = self.plane.jobs[ji].spec.stages[si].deps.clone();
         let mut out = Vec::new();
         for dep in deps {
-            let drun = &self.jobs[ji].stages[dep.0 as usize];
+            let drun = &self.plane.jobs[ji].stages[dep.0 as usize];
             let total: f64 = drun.shuffle_by_machine.iter().sum();
             if total <= 0.0 {
                 continue;
@@ -1681,7 +1123,7 @@ impl Exec {
     /// A flush timer fired: hand the dirty bytes to the per-disk kernel
     /// flusher, which writes back one coalesced stream at a time.
     fn start_flush(&mut self, f: FlushStart) {
-        if !self.machines[f.machine].alive {
+        if !self.plane.alive[f.machine] {
             // The dirty bytes died with the machine.
             return;
         }
@@ -1709,11 +1151,12 @@ impl Exec {
         let entries = std::mem::take(&mut m.flush_pending[disk]);
         let bytes: f64 = entries.iter().map(|e| e.bytes).sum::<f64>() * WRITEBACK_SCATTER;
         m.flush_active[disk] = true;
-        let n_disks = m.fluid.spec().disks.len();
+        let fluid = &mut self.fluids[machine];
+        let n_disks = fluid.spec().disks.len();
         let id = self.aux_seq;
         self.aux_seq += 1;
         self.flushes.insert(id, (machine, disk, entries));
-        m.fluid.insert(
+        fluid.insert(
             self.now,
             aux_stream(TAG_FLUSH, id),
             StreamDemand::disk_write_only(DiskId(disk), bytes, n_disks),
@@ -1731,9 +1174,7 @@ impl Exec {
                     self.tasks[t_idx].cur_demand = Some(demand.clone());
                 }
                 let phase = self.tasks[t_idx].phases.len();
-                self.machines[machine]
-                    .fluid
-                    .insert(self.now, task_stream(t_idx, phase), demand);
+                self.fluids[machine].insert(self.now, task_stream(t_idx, phase), demand);
             }
             None => self.resolve_output(t_idx),
         }
@@ -1841,14 +1282,14 @@ impl Exec {
         );
         self.machines[machine].running -= 1;
         let elapsed = self.now.since(start).as_secs_f64();
-        if self.jobs[ji].stages[si].task_done[ti] {
+        if self.slot_stages[ji][si].task_done[ti] {
             // A slower attempt crossed the line after the winner already
             // counted: pure wasted work, no record, no stage progress.
-            self.jobs[ji].recovery.wasted_work_seconds += elapsed;
-            self.jobs[ji].recovery.wasted_bytes += io_started;
+            self.plane.jobs[ji].recovery.wasted_work_seconds += elapsed;
+            self.plane.jobs[ji].recovery.wasted_bytes += io_started;
             return;
         }
-        self.jobs[ji].stages[si].task_done[ti] = true;
+        self.slot_stages[ji][si].task_done[ti] = true;
         // First finisher wins: a still-running twin (original or copy) is
         // killed and its time charged as waste.
         if self.spec_copies.remove(&(ji, si, ti)) || self.tasks[t_idx].speculative {
@@ -1873,55 +1314,32 @@ impl Exec {
             start,
             end: self.now,
         });
-        if self.faults_on {
-            if recompute {
-                self.jobs[ji].recovery.recompute_seconds += elapsed;
-            }
-            // Lineage index: which completed tasks' outputs live on `machine`.
-            self.jobs[ji].stages[si].completed_on[machine].push(ti as u32);
-        }
-        let spec = self.jobs[ji].spec.stages[si].tasks[ti];
-        {
-            let run = &mut self.jobs[ji].stages[si];
-            if let OutputSpec::ShuffleWrite { bytes, .. } = spec.output {
-                run.shuffle_by_machine[machine] += bytes;
-            }
-            run.completed += 1;
-            if run.completed == run.total {
-                run.done = true;
-                run.ended = Some(self.now);
-            }
-        }
+        self.plane
+            .complete_task(ji, si, ti, machine, start, recompute, self.now);
         if let Some(mult) = self.cfg.speculation_multiplier {
-            self.jobs[ji].stages[si].durations.push(elapsed);
+            self.slot_stages[ji][si].durations.push(elapsed);
             if self.cfg.per_machine_duration_pools {
-                self.jobs[ji].stages[si].durations_pm[machine].push(elapsed);
+                self.slot_stages[ji][si].durations_pm[machine].push(elapsed);
             }
             self.schedule_speculation_wakeups(ji, si, mult);
         }
-        if self.jobs[ji].stages[si].done {
-            self.unlock_dependents(ji, si);
-            if self.jobs[ji].stages.iter().all(|s| s.done) {
-                self.jobs[ji].done = true;
-                self.jobs[ji].end = self.now;
-            }
-        }
     }
 
-    /// Kills a losing attempt in a speculation race: removes its active
-    /// stream (or flush waiter), frees its slot, and charges its runtime as
-    /// wasted work. The logical task is already complete, so nothing
-    /// re-queues.
+    /// Kills one in-flight attempt (a crash victim, a given-up fetch, or the
+    /// loser of a speculation race): removes its active stream from its
+    /// machine's allocator (if that machine survives), scrubs any flush
+    /// waiter reference, frees the slot, and charges its runtime and started
+    /// I/O as wasted work. Nothing re-queues.
     fn kill_task(&mut self, t_idx: usize) {
         let (ji, machine, start, speculative, io_started) = {
             let t = &self.tasks[t_idx];
             (t.job, t.machine, t.start, t.speculative, t.io_started)
         };
         self.tasks[t_idx].killed = true;
-        if self.machines[machine].alive {
+        if self.plane.alive[machine] {
             let sid = task_stream(t_idx, self.tasks[t_idx].phases.len());
-            if self.machines[machine].fluid.contains(sid) {
-                self.machines[machine].fluid.remove(self.now, sid);
+            if self.fluids[machine].contains(sid) {
+                self.fluids[machine].remove(self.now, sid);
             }
             self.scrub_flush_waiter(machine, t_idx);
             self.machines[machine].running -= 1;
@@ -1930,8 +1348,8 @@ impl Exec {
             let t = &self.tasks[t_idx];
             self.spec_copies.remove(&(t.job, t.stage, t.task));
         }
-        self.jobs[ji].recovery.wasted_work_seconds += self.now.since(start).as_secs_f64();
-        self.jobs[ji].recovery.wasted_bytes += io_started;
+        self.plane.jobs[ji].recovery.wasted_work_seconds += self.now.since(start).as_secs_f64();
+        self.plane.jobs[ji].recovery.wasted_bytes += io_started;
     }
 
     /// Once a stage's median is known, the instant each still-running
@@ -1939,7 +1357,7 @@ impl Exec {
     /// wake-up there so the idle-slot sweep observes it even if no other
     /// event falls in between (e.g. the straggler is the last stream alive).
     fn schedule_speculation_wakeups(&mut self, ji: usize, si: usize, mult: f64) {
-        if self.jobs[ji].stages[si].done || !self.stage_has_enough_samples(ji, si) {
+        if self.plane.jobs[ji].stages[si].done || !self.stage_has_enough_samples(ji, si) {
             return;
         }
         let med = self.stage_median(ji, si);
@@ -1965,71 +1383,25 @@ impl Exec {
         }
     }
 
-    fn unlock_dependents(&mut self, ji: usize, completed: usize) {
-        for si in 0..self.jobs[ji].spec.stages.len() {
-            let deps = &self.jobs[ji].spec.stages[si].deps;
-            if self.jobs[ji].stages[si].ready || !deps.iter().any(|d| d.0 as usize == completed) {
-                continue;
-            }
-            if deps.iter().all(|d| self.jobs[ji].stages[d.0 as usize].done) {
-                self.make_stage_ready(ji, si);
-            }
-        }
-    }
-
     fn into_output(self) -> SparkRunOutput {
         let makespan = self.now;
         let mut stats = self.stats;
-        for m in &self.machines {
+        for fluid in self.fluids.iter() {
             // Machine-local allocation gets its own attribution bucket (the
             // sparklike executor has no fabric, so all allocation is here).
-            stats.merge(&m.fluid.stats().as_machine_alloc());
+            stats.merge(&fluid.stats().as_machine_alloc());
         }
         // main_loop stored raw loop wall time; what the allocators account
         // for is attributed to them, the rest is executor control.
         stats.control_nanos = stats.control_nanos.saturating_sub(stats.allocator_nanos());
-        let mut total_recovery = RecoveryStats::default();
-        for j in &self.jobs {
-            total_recovery.merge(&j.recovery);
-        }
-        stats.tasks_retried = total_recovery.tasks_retried;
-        stats.tasks_speculated = total_recovery.tasks_speculated;
-        stats.wasted_work_nanos = (total_recovery.wasted_work_seconds * 1e9).round() as u64;
-        stats.recompute_nanos = (total_recovery.recompute_seconds * 1e9).round() as u64;
-        stats.wasted_bytes = total_recovery.wasted_bytes.round() as u64;
-        stats.fetch_retries = total_recovery.fetch_retries;
-        stats.stalled_fetch_nanos = (total_recovery.stalled_fetch_seconds * 1e9).round() as u64;
-        stats.fetch_backoff_nanos = (total_recovery.fetch_backoff_seconds * 1e9).round() as u64;
-        stats.fetches_replanned = total_recovery.fetches_replanned;
-        let jobs = self
-            .jobs
-            .into_iter()
-            .map(|j| JobReport {
-                job: j.id,
-                name: j.spec.name.clone(),
-                start: SimTime::ZERO,
-                end: j.end,
-                stages: j
-                    .stages
-                    .iter()
-                    .enumerate()
-                    .map(|(si, s)| StageReport {
-                        stage: StageId(si as u32),
-                        start: s.started.expect("stage never started"),
-                        end: s.ended.expect("stage never ended"),
-                        control: Default::default(),
-                    })
-                    .collect(),
-                recovery: j.recovery,
-            })
-            .collect();
+        let (jobs, instants) = self.plane.finish(&mut stats, |_, _| Default::default());
         SparkRunOutput {
             jobs,
             tasks: self.records,
             traces: self.traces,
             makespan,
             stats,
-            instants: self.instants,
+            instants,
         }
     }
 }

@@ -3,7 +3,9 @@
 //! permanent partition re-planned around via sender quarantine and lineage
 //! resubmission, and the fail-fast paths — a structured
 //! [`RunError::Unreachable`] instead of a hang when retries are exhausted
-//! with no reachable replica, or when no timeout is armed at all.
+//! with no reachable replica, or when no timeout is armed at all. Also a
+//! stage gate-blocked twice, and a two-dependency join re-planned on both
+//! engines.
 
 mod testsupport;
 
@@ -246,5 +248,165 @@ fn overlapping_partition_windows_are_rejected() {
     assert!(
         matches!(spark, Err(RunError::InvalidConfig(_))),
         "expected InvalidConfig, got {spark:?}"
+    );
+}
+
+/// Fetch-retry decisions of a traced spark-like run, as `(time, attempt)`.
+fn fetch_retries(out: &sparklike::SparkRunOutput) -> Vec<(SimTime, u32)> {
+    out.instants
+        .iter()
+        .filter_map(|i| match i.kind {
+            cluster::InstantKind::FetchRetry { attempt, .. } => Some((i.time, attempt)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Two separate cuts each leave the spark-like reduce stage gate-blocked
+/// before any of its tasks launches. The first blockage spends the whole
+/// retry budget and re-plans; the second must spend the whole budget again
+/// (the gate clock resets after re-planning) instead of re-planning at its
+/// first deadline. Fault plans reject overlapping cut windows on a machine
+/// and a gate-blocking cut touches every machine, so the first cut heals
+/// just as the second, permanent one starts.
+#[test]
+fn sparklike_second_gate_blockage_gets_a_full_retry_budget() {
+    let (job, blocks) = sort();
+    let cfg = SparkConfig {
+        fetch_timeout_secs: Some(1.0),
+        trace_path: Some(std::path::PathBuf::from("unused.json")),
+        ..SparkConfig::default()
+    };
+    // Machine 1 is cut off early in the map stage, so the reduce stage is
+    // gate-blocked the moment it opens.
+    let out = sparklike::run_with_faults(
+        &cluster(),
+        &[(job.clone(), blocks.clone())],
+        &cfg,
+        &isolate_forever(1, 1.0),
+    )
+    .expect("the first cut alone is re-planned around");
+    let budget = cfg.fetch_max_retries + 1;
+    let first: Vec<u32> = fetch_retries(&out).into_iter().map(|(_, a)| a).collect();
+    assert_eq!(first, (1..=budget).collect::<Vec<_>>(), "first blockage");
+    let replanned_at = out
+        .instants
+        .iter()
+        .find(|i| {
+            matches!(
+                i.kind,
+                cluster::InstantKind::TaskRetry {
+                    recompute: true,
+                    ..
+                }
+            )
+        })
+        .expect("lineage resubmission after the first blockage")
+        .time;
+    // While machine 1's lost map outputs are recomputed, its cut heals and
+    // machine 2 is cut off for good.
+    let swap = SimTime(replanned_at.0 + 100_000_000);
+    let plan = FaultPlan::new()
+        .partition(
+            vec![vec![1], vec![0, 2, 3]],
+            SimTime::from_secs(1),
+            Some(swap),
+        )
+        .partition(vec![vec![2], vec![0, 1, 3]], swap, None);
+    let out = sparklike::run_with_faults(&cluster(), &[(job, blocks)], &cfg, &plan)
+        .expect("both cuts are re-planned around");
+    let second: Vec<u32> = fetch_retries(&out)
+        .into_iter()
+        .filter(|&(t, _)| t > swap)
+        .map(|(_, a)| a)
+        .collect();
+    assert_eq!(
+        second,
+        (1..=budget).collect::<Vec<_>>(),
+        "second blockage re-planned without spending its retry budget"
+    );
+}
+
+/// The recovery counters the join test pins: `(tasks_retried,
+/// fetch_retries, fetches_replanned, makespan_ns)`.
+fn pinned(rec: &dataflow::RecoveryStats, makespan: SimTime) -> (u64, u64, u64, u64) {
+    (
+        rec.tasks_retried,
+        rec.fetch_retries,
+        rec.fetches_replanned,
+        makespan.0,
+    )
+}
+
+/// A permanent partition in the middle of a BDB join (query 3a: two scan
+/// stages feeding one join stage), on both engines. Every other partition
+/// test shuffles from a single dependency; here sender-level re-planning
+/// sees shuffle senders of two dependencies and, for the half/half split,
+/// two unreachable senders at once. Pins the shared re-planning decisions:
+/// senders in machine order, every sender checked before any is acted on.
+#[test]
+fn join_under_a_permanent_partition_is_replanned_or_fails_fast() {
+    let (job, blocks) = workloads::bdb_job(workloads::BdbQuery::Q3a, 4, 2);
+    assert_eq!(job.stages[2].deps.len(), 2, "the join reads two stages");
+    let mono_cfg = MonoConfig {
+        fetch_timeout_secs: Some(1.0),
+        ..MonoConfig::default()
+    };
+    let spark_cfg = SparkConfig {
+        fetch_timeout_secs: Some(1.0),
+        ..SparkConfig::default()
+    };
+    let mid_join = |makespan: SimTime, groups: Vec<Vec<usize>>| {
+        let at = SimTime::from_secs_f64(makespan.as_secs_f64() * 0.97);
+        FaultPlan::new().partition(groups, at, None)
+    };
+    let halves = || vec![vec![0, 1], vec![2, 3]];
+    let run = [(job.clone(), blocks.clone())];
+
+    // Half/half split, no replicas: the monotasks engine cannot re-run the
+    // far half's scan tasks anywhere the join receiver reaches.
+    let free = monotasks_core::try_run(&cluster(), &run, &mono_cfg).expect("fault-free");
+    let out = monotasks_core::run_with_faults(
+        &cluster(),
+        &run,
+        &mono_cfg,
+        &mid_join(free.makespan, halves()),
+    );
+    assert_eq!(
+        out.err(),
+        Some(RunError::Unreachable {
+            job: dataflow::JobId(0),
+            stage: dataflow::StageId(2),
+            task: dataflow::TaskId(62),
+            machine: 2,
+            retries: 4,
+        })
+    );
+    // The spark-like engine re-runs whole scan stages on the receiver's
+    // side and completes.
+    let free = sparklike::try_run(&cluster(), &run, &spark_cfg).expect("fault-free");
+    let out = sparklike::run_with_faults(
+        &cluster(),
+        &run,
+        &spark_cfg,
+        &mid_join(free.makespan, halves()),
+    )
+    .expect("spark-like re-plans around both unreachable senders");
+    assert_eq!(
+        pinned(&out.jobs[0].recovery, out.makespan),
+        (316, 100, 32, 324_828_727_813)
+    );
+
+    // One machine isolated, 2-way replicated input: the monotasks engine
+    // re-runs the isolated machine's scan tasks from reachable replicas.
+    let repl = dataflow::BlockMap::round_robin_replicated(blocks.blocks(), 4, 2, 2);
+    let run = [(job, repl)];
+    let free = monotasks_core::try_run(&cluster(), &run, &mono_cfg).expect("fault-free");
+    let plan = mid_join(free.makespan, vec![vec![1], vec![0, 2, 3]]);
+    let out = monotasks_core::run_with_faults(&cluster(), &run, &mono_cfg, &plan)
+        .expect("monotasks re-plans around the isolated machine");
+    assert_eq!(
+        pinned(&out.jobs[0].recovery, out.makespan),
+        (144, 7, 2, 185_906_448_789)
     );
 }
