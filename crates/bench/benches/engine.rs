@@ -39,6 +39,29 @@ fn bench_fluid(c: &mut Criterion) {
             },
         );
     }
+    // Monotask-shaped: 48 single-resource streams (network receives, compute,
+    // disk reads and writes), one replaced per step. Each step is a removal
+    // and an insert, i.e. two reallocations.
+    let monotask = |i: u64| match i % 4 {
+        0 | 1 => StreamDemand::rx_only(8e6 + i as f64, 2),
+        2 => StreamDemand::cpu_only(0.5, 2),
+        _ if i % 8 == 3 => StreamDemand::disk_read_only(DiskId(0), 4e6, 2),
+        _ => StreamDemand::disk_write_only(DiskId(1), 4e6, 2),
+    };
+    g.bench_with_input(BenchmarkId::new("monotask_churn", 48), &48u64, |b, &n| {
+        b.iter(|| {
+            let mut m = FluidMachine::new(MachineSpec::m2_4xlarge());
+            for i in 0..n {
+                m.insert(SimTime::ZERO, StreamId(i), monotask(i));
+            }
+            for i in n..n + 256 {
+                let now = SimTime(i * 1_000_000);
+                m.remove(now, StreamId(i - n));
+                m.insert(now, StreamId(i), monotask(i));
+            }
+            m.stats().reallocs
+        })
+    });
     g.finish();
 }
 

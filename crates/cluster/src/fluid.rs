@@ -33,13 +33,19 @@
 //!   `(resource, demand)` list, and the allocator maintains per-disk
 //!   reader/writer counts, so reallocation rounds and the concurrency-aware
 //!   capacity vector cost O(non-zero demands), not O(streams × resources).
+//! * **Dense, allocation-free fill.** Streams live in one id-ordered `Vec`;
+//!   each reallocation flattens their sparse demands into scratch buffers the
+//!   machine owns and reuses, so a warm machine reallocates without touching
+//!   the heap allocator or doing a keyed lookup inside a filling round.
 //! * **Deferred (virtual-time) drain.** [`FluidMachine::advance`] only moves
 //!   the clock; progress fractions are materialised lazily at the next
 //!   mutation. Between reallocations rates are constant, so the drain is
 //!   exact, and a quiescent machine costs O(1) per step.
-//! * **A completion-time min-heap** with generation-based lazy invalidation
-//!   makes [`FluidMachine::next_completion`]/[`FluidMachine::take_completed`]
-//!   O(log streams).
+//! * **A cached earliest deadline.** Every reallocation already visits every
+//!   stream, so it also records the machine's earliest completion instant:
+//!   [`FluidMachine::next_completion`] is O(1), and
+//!   [`FluidMachine::take_completed`] is O(1) when nothing is due and one
+//!   pass over the streams when something is.
 //! * **Batched mutations** ([`FluidMachine::begin_update`] /
 //!   [`FluidMachine::commit`]) collapse a wave of stream changes at one
 //!   instant into a single reallocation.
@@ -50,8 +56,7 @@
 //! [`FluidMachine::reference_reallocate`]; with the `slowcheck` cargo feature
 //! every reallocation is `debug_assert!`-checked against it.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use simcore::stats::SimStats;
@@ -61,6 +66,10 @@ use crate::hw::MachineSpec;
 
 /// Remaining progress below this fraction counts as complete.
 const PROGRESS_EPSILON: f64 = 1e-9;
+
+/// Deadline of a stream not yet priced by a reallocation (inserted inside an
+/// open batch), and of an idle machine.
+const NEVER: SimTime = SimTime(u64::MAX);
 
 /// Identifies a machine in the cluster.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -168,6 +177,7 @@ impl StreamDemand {
 
 #[derive(Clone, Debug)]
 struct Stream {
+    id: StreamId,
     demand: StreamDemand,
     /// Non-zero `(resource column, demand)` pairs of `demand`.
     sparse: Vec<(usize, f64)>,
@@ -176,20 +186,51 @@ struct Stream {
     remaining: f64,
     /// Progress rate in fractions per second (set by `reallocate`).
     rate: f64,
-    /// Generation of this stream's live heap entry; 0 means never scheduled.
-    gen: u64,
-    /// Completion instant of the live heap entry (valid when `gen != 0`).
+    /// Completion instant at the current rate ([`NEVER`] until priced).
     deadline: SimTime,
-    /// Reallocation round stamp; equals the machine's `freeze_stamp` while
-    /// this stream's rate is frozen during the current reallocation.
-    frozen_at: u64,
+}
+
+impl Stream {
+    /// `remaining` after draining `dt` seconds at the current rate.
+    fn remaining_after(&self, dt: f64) -> f64 {
+        (self.remaining - self.rate * dt).max(0.0)
+    }
+}
+
+/// Scratch buffers of the progressive fill, owned by the machine and reused
+/// by every reallocation. Per-stream vectors are indexed by position in the
+/// machine's id-ordered stream list; per-resource vectors by column.
+#[derive(Debug, Default)]
+struct FillScratch {
+    /// Every stream's sparse demands back to back: stream `i` owns
+    /// `entries[start[i]..start[i + 1]]`.
+    entries: Vec<(usize, f64)>,
+    start: Vec<usize>,
+    /// `1 / cpu` of streams with CPU work: the single-thread rate cap.
+    cpu_cap: Vec<Option<f64>>,
+    /// Tentative rate of an unfrozen stream; the final rate once frozen.
+    rate: Vec<f64>,
+    /// Streams selected for freezing in the current round.
+    freeze: Vec<bool>,
+    /// Positions of the streams still unfrozen, ascending.
+    unfrozen: Vec<usize>,
+    /// Capacity not yet assigned to frozen streams.
+    cap_left: Vec<f64>,
+    /// Unfrozen streams using each resource.
+    counts: Vec<usize>,
+    /// This round's fair share of each resource.
+    share: Vec<f64>,
+    /// What the round's tentative rates would consume.
+    usage: Vec<f64>,
+    saturated: Vec<bool>,
 }
 
 /// One machine's fluid resource allocator. See the module docs for the model.
 #[derive(Debug)]
 pub struct FluidMachine {
     spec: MachineSpec,
-    streams: BTreeMap<StreamId, Stream>,
+    /// Active streams in ascending id order.
+    streams: Vec<Stream>,
     /// Streams currently reading / writing each disk (drives the
     /// concurrency-dependent capacity without scanning streams).
     disk_readers: Vec<usize>,
@@ -202,11 +243,9 @@ pub struct FluidMachine {
     caps: Vec<f64>,
     /// Delivered rate per resource column as of the last reallocation.
     res_used: Vec<f64>,
-    /// Min-heap of (completion time, stream, generation); entries whose
-    /// generation no longer matches the stream's are stale and skipped lazily.
-    heap: BinaryHeap<Reverse<(SimTime, StreamId, u64)>>,
-    gen_counter: u64,
-    freeze_stamp: u64,
+    fill: FillScratch,
+    /// Earliest stream deadline ([`NEVER`] when idle).
+    next_deadline: SimTime,
     /// Clock position; progress fractions are accurate as of `synced` only.
     last_advance: SimTime,
     synced: SimTime,
@@ -228,15 +267,14 @@ impl FluidMachine {
         let nr = 2 + nd;
         let mut m = FluidMachine {
             spec,
-            streams: BTreeMap::new(),
+            streams: Vec::new(),
             disk_readers: vec![0; nd],
             disk_writers: vec![0; nd],
             scale: vec![1.0; nr],
             caps: vec![0.0; nr],
             res_used: vec![0.0; nr],
-            heap: BinaryHeap::new(),
-            gen_counter: 0,
-            freeze_stamp: 0,
+            fill: FillScratch::default(),
+            next_deadline: NEVER,
             last_advance: SimTime::ZERO,
             synced: SimTime::ZERO,
             epoch: 0,
@@ -247,7 +285,7 @@ impl FluidMachine {
             drain_nanos: 0,
             completion_nanos: 0,
         };
-        m.caps = m.capacities();
+        m.refresh_caps();
         m
     }
 
@@ -266,9 +304,14 @@ impl FluidMachine {
         self.streams.len()
     }
 
+    /// Position of stream `id` in the id-ordered list, if active.
+    fn position(&self, id: StreamId) -> Option<usize> {
+        self.streams.binary_search_by_key(&id, |s| s.id).ok()
+    }
+
     /// Whether `id` is currently active.
     pub fn contains(&self, id: StreamId) -> bool {
-        self.streams.contains_key(&id)
+        self.position(id).is_some()
     }
 
     /// Control-plane cost counters for this machine.
@@ -298,20 +341,19 @@ impl FluidMachine {
     /// Applies the pending lazy drain, making every `remaining` accurate as
     /// of `last_advance`.
     fn materialize(&mut self) {
-        let dt = self.last_advance.since(self.synced).as_secs_f64();
+        let dt = self.lag();
         self.synced = self.last_advance;
         if dt == 0.0 {
             return;
         }
-        for s in self.streams.values_mut() {
-            s.remaining = (s.remaining - s.rate * dt).max(0.0);
+        for s in &mut self.streams {
+            s.remaining = s.remaining_after(dt);
         }
     }
 
-    /// `remaining` of one stream as of `last_advance`, without materialising.
-    fn remaining_now(&self, s: &Stream) -> f64 {
-        let dt = self.last_advance.since(self.synced).as_secs_f64();
-        (s.remaining - s.rate * dt).max(0.0)
+    /// Seconds of drain not yet materialised into `remaining`.
+    fn lag(&self) -> f64 {
+        self.last_advance.since(self.synced).as_secs_f64()
     }
 
     /// Opens a batched-update scope: mutations (insert / remove /
@@ -376,6 +418,9 @@ impl FluidMachine {
             "negative demand component: {demand:?}"
         );
         self.advance(now);
+        let Err(pos) = self.streams.binary_search_by_key(&id, |s| s.id) else {
+            panic!("stream {id:?} inserted twice");
+        };
         for i in 0..self.spec.disks.len() {
             if demand.disk_read[i] > 0.0 {
                 self.disk_readers[i] += 1;
@@ -385,32 +430,30 @@ impl FluidMachine {
             }
         }
         let sparse = demand.sparse();
-        let prev = self.streams.insert(
-            id,
+        self.streams.insert(
+            pos,
             Stream {
+                id,
                 demand,
                 sparse,
                 remaining: 1.0,
                 rate: 0.0,
-                gen: 0,
-                deadline: SimTime::ZERO,
-                frozen_at: 0,
+                deadline: NEVER,
             },
         );
-        assert!(prev.is_none(), "stream {id:?} inserted twice");
         self.after_mutation();
         self.epoch
     }
 
     /// Drops a (just removed) stream's contribution to the per-disk
     /// reader/writer counts.
-    fn detach(&mut self, s: &Stream) {
-        for i in 0..self.spec.disks.len() {
+    fn detach(readers: &mut [usize], writers: &mut [usize], s: &Stream) {
+        for (i, (r, w)) in readers.iter_mut().zip(writers.iter_mut()).enumerate() {
             if s.demand.disk_read[i] > 0.0 {
-                self.disk_readers[i] -= 1;
+                *r -= 1;
             }
             if s.demand.disk_write[i] > 0.0 {
-                self.disk_writers[i] -= 1;
+                *w -= 1;
             }
         }
     }
@@ -424,9 +467,10 @@ impl FluidMachine {
     /// eager full drain.
     pub fn remove(&mut self, now: SimTime, id: StreamId) -> Option<f64> {
         self.advance(now);
-        let remaining = self.streams.get(&id).map(|s| self.remaining_now(s))?;
-        let s = self.streams.remove(&id).expect("stream present");
-        self.detach(&s);
+        let pos = self.position(id)?;
+        let remaining = self.streams[pos].remaining_after(self.lag());
+        let s = self.streams.remove(pos);
+        Self::detach(&mut self.disk_readers, &mut self.disk_writers, &s);
         self.after_mutation();
         Some(remaining)
     }
@@ -450,44 +494,32 @@ impl FluidMachine {
     pub fn take_completed_into(&mut self, now: SimTime, done: &mut Vec<StreamId>) {
         self.advance(now);
         done.clear();
-        match self.heap.peek() {
-            Some(&Reverse((deadline, _, _))) if deadline <= now => {}
-            _ => return,
+        if self.next_deadline > now {
+            return;
         }
         let timer = Instant::now();
-        while let Some(&Reverse((deadline, id, gen))) = self.heap.peek() {
-            if deadline > now {
-                break;
-            }
-            self.heap.pop();
-            let Some(s) = self.streams.get(&id) else {
-                continue; // stale: stream already gone
-            };
-            if s.gen != gen {
-                continue; // stale: rate changed since this entry was pushed
-            }
-            if self.remaining_now(s) <= PROGRESS_EPSILON {
-                done.push(id);
-            } else {
+        let dt = self.lag();
+        let (readers, writers) = (&mut self.disk_readers, &mut self.disk_writers);
+        let mut next = NEVER;
+        self.streams.retain_mut(|s| {
+            if s.deadline <= now {
+                let remaining = s.remaining_after(dt);
+                if remaining <= PROGRESS_EPSILON {
+                    done.push(s.id);
+                    Self::detach(readers, writers, s);
+                    return false;
+                }
                 // Floating-point drift: the deadline undershot the true
                 // completion by a whisker. Reschedule from current progress.
-                let next = now
-                    + SimDuration::from_secs_f64(self.remaining_now(s) / s.rate)
-                        .max(SimDuration::NANO);
-                self.gen_counter += 1;
-                let s = self.streams.get_mut(&id).expect("stream present");
-                s.gen = self.gen_counter;
-                s.deadline = next;
-                self.heap.push(Reverse((next, id, s.gen)));
+                s.deadline =
+                    now + SimDuration::from_secs_f64(remaining / s.rate).max(SimDuration::NANO);
             }
-        }
+            next = next.min(s.deadline);
+            true
+        });
+        self.next_deadline = next;
         self.completion_nanos += timer.elapsed().as_nanos() as u64;
         if !done.is_empty() {
-            done.sort_unstable();
-            for id in done.iter() {
-                let s = self.streams.remove(id).expect("completed stream present");
-                self.detach(&s);
-            }
             self.after_mutation();
         }
     }
@@ -497,9 +529,9 @@ impl FluidMachine {
     /// # Contract
     ///
     /// `now` may be at or after the last observed time: the machine first
-    /// self-advances to `now`, then peeks the completion heap. Passing a
-    /// `now` earlier than a previously observed instant panics with "time ran
-    /// backwards". Must not be called inside an open
+    /// self-advances to `now`, then reads the cached earliest deadline.
+    /// Passing a `now` earlier than a previously observed instant panics with
+    /// "time ran backwards". Must not be called inside an open
     /// [`FluidMachine::begin_update`] batch, where rates are stale by
     /// construction.
     pub fn next_completion(&mut self, now: SimTime) -> Option<SimTime> {
@@ -508,21 +540,12 @@ impl FluidMachine {
             "next_completion inside an open batch"
         );
         self.advance(now);
-        while let Some(&Reverse((deadline, id, gen))) = self.heap.peek() {
-            match self.streams.get(&id) {
-                Some(s) if s.gen == gen => return Some(deadline.max(now)),
-                _ => {
-                    self.heap.pop();
-                }
-            }
-        }
-        debug_assert!(self.streams.is_empty(), "live stream missing a heap entry");
-        None
+        (self.next_deadline != NEVER).then(|| self.next_deadline.max(now))
     }
 
     /// Current progress rate of `id` in fractions/second, if active.
     pub fn rate(&self, id: StreamId) -> Option<f64> {
-        self.streams.get(&id).map(|s| s.rate)
+        self.position(id).map(|pos| self.streams[pos].rate)
     }
 
     /// Number of resource "columns": CPU, each disk, NIC receive.
@@ -530,12 +553,13 @@ impl FluidMachine {
         2 + self.spec.disks.len()
     }
 
-    /// Capacity vector given the current stream population (HDD/SSD
-    /// efficiency depends on how many readers and writers touch each disk).
-    /// O(disks) via the maintained reader/writer counts.
-    fn capacities(&self) -> Vec<f64> {
+    /// Writes the capacity vector given the current stream population
+    /// (HDD/SSD efficiency depends on how many readers and writers touch each
+    /// disk) into `caps`, reusing its storage. O(disks) via the maintained
+    /// reader/writer counts.
+    fn capacities_into(&self, caps: &mut Vec<f64>) {
         let nd = self.spec.disks.len();
-        let mut caps = Vec::with_capacity(self.n_resources());
+        caps.clear();
         caps.push(self.spec.cores as f64);
         for (i, d) in self.spec.disks.iter().enumerate() {
             let (k_r, k_w) = (self.disk_readers[i], self.disk_writers[i]);
@@ -548,7 +572,13 @@ impl FluidMachine {
         }
         caps.push(self.spec.nic * self.scale[1 + nd]);
         debug_assert_eq!(caps.len(), 2 + nd);
-        caps
+    }
+
+    /// Recomputes `caps` in place.
+    fn refresh_caps(&mut self) {
+        let mut caps = std::mem::take(&mut self.caps);
+        self.capacities_into(&mut caps);
+        self.caps = caps;
     }
 
     /// Sets the fault-injection service-rate scale of disk `disk` (`1.0`
@@ -611,17 +641,14 @@ impl FluidMachine {
         let drained = drain_timer.elapsed().as_nanos() as u64;
         self.drain_nanos += drained;
         let timer = Instant::now();
-        self.caps = self.capacities();
-        for u in &mut self.res_used {
-            *u = 0.0;
-        }
+        self.refresh_caps();
+        self.res_used.fill(0.0);
         if !self.streams.is_empty() {
             self.fill_rates();
-            self.refresh_res_used();
-            self.refresh_deadlines();
             #[cfg(feature = "slowcheck")]
             self.assert_matches_reference();
         }
+        self.refresh_deadlines();
         self.alloc_nanos += timer.elapsed().as_nanos() as u64;
     }
 
@@ -637,54 +664,79 @@ impl FluidMachine {
     ///    termination; its rate is already max-min feasible).
     ///
     /// Identical round structure to [`FluidMachine::reference_reallocate`],
-    /// but iterates sparse demands and maintains claimant counts across
-    /// rounds instead of rescanning every stream × resource.
+    /// but over sparse demands flattened into the machine's reusable
+    /// [`FillScratch`], with claimant counts maintained across rounds instead
+    /// of rescanning every stream × resource. Every accumulation runs over
+    /// streams in ascending id order, so rounding does not depend on storage
+    /// (the rates are pinned to the bit by a unit test). Every round freezes
+    /// at least one stream, so at most `streams` rounds run. Also accumulates
+    /// the delivered rate per resource.
     fn fill_rates(&mut self) {
-        let nr = self.n_resources();
-        let mut cap_left = self.caps.clone();
-        let mut counts = vec![0usize; nr];
-        for s in self.streams.values() {
+        let FillScratch {
+            entries,
+            start,
+            cpu_cap,
+            rate,
+            freeze,
+            unfrozen,
+            cap_left,
+            counts,
+            share,
+            usage,
+            saturated,
+        } = &mut self.fill;
+        let n = self.streams.len();
+        let nr = self.caps.len();
+        entries.clear();
+        start.clear();
+        cpu_cap.clear();
+        counts.clear();
+        counts.resize(nr, 0);
+        for s in &self.streams {
+            start.push(entries.len());
+            entries.extend_from_slice(&s.sparse);
             for &(r, _) in &s.sparse {
                 counts[r] += 1;
             }
+            cpu_cap.push((s.demand.cpu > 0.0).then(|| 1.0 / s.demand.cpu));
         }
-        let mut unfrozen: Vec<StreamId> = self.streams.keys().copied().collect();
-        self.freeze_stamp += 1;
-        let stamp = self.freeze_stamp;
-        let mut tentative: Vec<(StreamId, f64, bool)> = Vec::with_capacity(unfrozen.len());
-        let mut usage = vec![0.0f64; nr];
-        let mut saturated = vec![false; nr];
+        start.push(entries.len());
+        rate.clear();
+        rate.resize(n, 0.0);
+        freeze.clear();
+        freeze.resize(n, false);
+        unfrozen.clear();
+        unfrozen.extend(0..n);
+        cap_left.clone_from(&self.caps);
+        share.resize(nr, 0.0);
+        usage.resize(nr, 0.0);
+        saturated.resize(nr, false);
         while !unfrozen.is_empty() {
-            let share = |r: usize, counts: &[usize], cap_left: &[f64]| -> f64 {
-                (cap_left[r] / counts[r] as f64).max(0.0)
-            };
-            // Tentative rate for each unfrozen stream from fair shares.
-            tentative.clear();
-            for id in &unfrozen {
-                let s = &self.streams[id];
-                let mut rate = f64::INFINITY;
-                for &(r, d) in &s.sparse {
-                    rate = rate.min(share(r, &counts, &cap_left) / d);
+            for r in 0..nr {
+                share[r] = (cap_left[r] / counts[r] as f64).max(0.0);
+            }
+            // Tentative rate for each unfrozen stream from fair shares; a
+            // stream held to its single-thread cap (one core) freezes.
+            for &i in unfrozen.iter() {
+                let mut tentative = f64::INFINITY;
+                for &(r, d) in &entries[start[i]..start[i + 1]] {
+                    tentative = tentative.min(share[r] / d);
                 }
-                // Single-threaded cap: at most one core of CPU.
-                let mut cap_bound = false;
-                if s.demand.cpu > 0.0 {
-                    let cap = 1.0 / s.demand.cpu;
-                    if cap <= rate {
-                        rate = cap;
-                        cap_bound = true;
+                freeze[i] = false;
+                if let Some(cap) = cpu_cap[i] {
+                    if cap <= tentative {
+                        tentative = cap;
+                        freeze[i] = true;
                     }
                 }
-                debug_assert!(rate.is_finite());
-                tentative.push((*id, rate, cap_bound));
+                debug_assert!(tentative.is_finite());
+                rate[i] = tentative;
             }
             // Which resources would the tentative rates saturate?
-            for u in usage.iter_mut() {
-                *u = 0.0;
-            }
-            for (id, rate, _) in &tentative {
-                for &(r, d) in &self.streams[id].sparse {
-                    usage[r] += rate * d;
+            usage.fill(0.0);
+            for &i in unfrozen.iter() {
+                for &(r, d) in &entries[start[i]..start[i + 1]] {
+                    usage[r] += rate[i] * d;
                 }
             }
             for r in 0..nr {
@@ -692,82 +744,56 @@ impl FluidMachine {
             }
             // Select the streams to freeze this round (decided against the
             // round's snapshot of shares, applied afterwards).
-            let mut to_freeze: Vec<(StreamId, f64)> = tentative
-                .iter()
-                .filter(|(id, rate, cap_bound)| {
-                    if *cap_bound {
-                        return true;
-                    }
-                    self.streams[id].sparse.iter().any(|&(r, d)| {
-                        saturated[r] && *rate >= share(r, &counts, &cap_left) / d * (1.0 - 1e-9)
-                    })
-                })
-                .map(|(id, rate, _)| (*id, *rate))
-                .collect();
-            if to_freeze.is_empty() {
-                // Fallback: freeze the single slowest stream.
-                let slowest = tentative
-                    .iter()
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN rate").then(a.0.cmp(&b.0)))
-                    .expect("unfrozen set non-empty");
-                to_freeze.push((slowest.0, slowest.1));
+            let mut any = false;
+            for &i in unfrozen.iter() {
+                freeze[i] = freeze[i]
+                    || entries[start[i]..start[i + 1]]
+                        .iter()
+                        .any(|&(r, d)| saturated[r] && rate[i] >= share[r] / d * (1.0 - 1e-9));
+                any |= freeze[i];
             }
-            for (id, rate) in to_freeze {
-                let s = self.streams.get_mut(&id).expect("stream vanished");
-                s.rate = rate;
-                s.frozen_at = stamp;
-                for &(r, d) in &s.sparse {
-                    cap_left[r] = (cap_left[r] - rate * d).max(0.0);
+            if !any {
+                // Fallback: freeze the single slowest stream (lowest id on a
+                // tie).
+                let mut slowest = unfrozen[0];
+                for &i in &unfrozen[1..] {
+                    if rate[i] < rate[slowest] {
+                        slowest = i;
+                    }
+                }
+                freeze[slowest] = true;
+            }
+            for &i in unfrozen.iter().filter(|&&i| freeze[i]) {
+                for &(r, d) in &entries[start[i]..start[i + 1]] {
+                    cap_left[r] = (cap_left[r] - rate[i] * d).max(0.0);
                     counts[r] -= 1;
                 }
             }
-            let before = unfrozen.len();
-            unfrozen.retain(|id| self.streams[id].frozen_at != stamp);
-            debug_assert!(unfrozen.len() < before, "filling made no progress");
-            if unfrozen.len() >= before {
-                break; // release-mode safety valve; unreachable in practice
-            }
+            unfrozen.retain(|&i| !freeze[i]);
         }
-    }
-
-    /// Refreshes the per-resource delivered-rate accumulators from the
-    /// just-assigned rates.
-    fn refresh_res_used(&mut self) {
-        for s in self.streams.values() {
-            for &(r, d) in &s.sparse {
+        for (i, s) in self.streams.iter_mut().enumerate() {
+            s.rate = rate[i];
+            for &(r, d) in &entries[start[i]..start[i + 1]] {
                 self.res_used[r] += s.rate * d;
             }
         }
     }
 
-    /// Recomputes completion deadlines after a rate change, pushing heap
-    /// entries only for streams whose deadline actually moved.
+    /// Recomputes every stream's completion deadline after a rate change,
+    /// and the machine's earliest one.
     fn refresh_deadlines(&mut self) {
         let now = self.last_advance;
-        let heap = &mut self.heap;
-        let gen_counter = &mut self.gen_counter;
-        for (&id, s) in self.streams.iter_mut() {
-            let deadline = if s.remaining <= PROGRESS_EPSILON {
+        let mut next = NEVER;
+        for s in &mut self.streams {
+            s.deadline = if s.remaining <= PROGRESS_EPSILON {
                 now
             } else {
                 debug_assert!(s.rate > 0.0, "active stream with zero rate");
                 now + SimDuration::from_secs_f64(s.remaining / s.rate).max(SimDuration::NANO)
             };
-            if s.gen == 0 || s.deadline != deadline {
-                *gen_counter += 1;
-                s.gen = *gen_counter;
-                s.deadline = deadline;
-                heap.push(Reverse((deadline, id, s.gen)));
-            }
+            next = next.min(s.deadline);
         }
-        // Stale entries are dropped lazily; rebuild when they dominate so the
-        // heap stays O(streams).
-        if self.heap.len() > 2 * self.streams.len() + 64 {
-            self.heap.clear();
-            for (&id, s) in self.streams.iter() {
-                self.heap.push(Reverse((s.deadline, id, s.gen)));
-            }
-        }
+        self.next_deadline = next;
     }
 
     /// The original quadratic progressive-filling algorithm, kept verbatim as
@@ -778,12 +804,14 @@ impl FluidMachine {
         let nd = self.spec.disks.len();
         let nr = self.n_resources();
         let mut rates: BTreeMap<StreamId, f64> = BTreeMap::new();
-        let mut cap_left = self.capacities();
-        let mut unfrozen: Vec<StreamId> = self.streams.keys().copied().collect();
+        let mut cap_left = Vec::new();
+        self.capacities_into(&mut cap_left);
+        let by_id = |id: &StreamId| &self.streams[self.position(*id).expect("stream present")];
+        let mut unfrozen: Vec<StreamId> = self.streams.iter().map(|s| s.id).collect();
         while !unfrozen.is_empty() {
             let mut counts = vec![0usize; nr];
             for id in &unfrozen {
-                let s = &self.streams[id];
+                let s = by_id(id);
                 for (r, c) in counts.iter_mut().enumerate() {
                     if Self::demand_at(s, r, nd) > 0.0 {
                         *c += 1;
@@ -795,7 +823,7 @@ impl FluidMachine {
             };
             let mut tentative: Vec<(StreamId, f64, bool)> = Vec::with_capacity(unfrozen.len());
             for id in &unfrozen {
-                let s = &self.streams[id];
+                let s = by_id(id);
                 let mut rate = f64::INFINITY;
                 for r in 0..nr {
                     let d = Self::demand_at(s, r, nd);
@@ -816,7 +844,7 @@ impl FluidMachine {
             }
             let mut usage = vec![0.0f64; nr];
             for (id, rate, _) in &tentative {
-                let s = &self.streams[id];
+                let s = by_id(id);
                 for (r, u) in usage.iter_mut().enumerate() {
                     *u += rate * Self::demand_at(s, r, nd);
                 }
@@ -830,7 +858,7 @@ impl FluidMachine {
                     if *cap_bound {
                         return true;
                     }
-                    let s = &self.streams[id];
+                    let s = by_id(id);
                     (0..nr).any(|r| {
                         saturated[r] && {
                             let d = Self::demand_at(s, r, nd);
@@ -848,7 +876,7 @@ impl FluidMachine {
                 to_freeze.push((slowest.0, slowest.1));
             }
             for (id, rate) in to_freeze {
-                let s = &self.streams[&id];
+                let s = by_id(&id);
                 rates.insert(id, rate);
                 for (r, cap) in cap_left.iter_mut().enumerate() {
                     *cap = (*cap - rate * Self::demand_at(s, r, nd)).max(0.0);
@@ -863,8 +891,8 @@ impl FluidMachine {
     #[cfg(feature = "slowcheck")]
     fn assert_matches_reference(&self) {
         let reference = self.reference_reallocate();
-        for (id, s) in &self.streams {
-            let want = reference[id];
+        for s in &self.streams {
+            let (id, want) = (s.id, reference[&s.id]);
             let tol = want.abs() * 1e-9 + 1e-12;
             debug_assert!(
                 (s.rate - want).abs() <= tol,
@@ -1192,6 +1220,196 @@ mod tests {
         assert!((rem - 0.75).abs() < 1e-12, "rem={rem}");
         // Stream 1 then finishes its remaining 1 core-second at t=2.
         assert_eq!(m.next_completion(t(1.0)), Some(t(2.0)));
+    }
+
+    /// Each stream's rate as `f64` bits, in ascending id order, and the next
+    /// completion instant in ns.
+    fn pin(m: &mut FluidMachine, ids: std::ops::Range<u64>, now: SimTime) -> (Vec<u64>, u64) {
+        let rates = ids
+            .filter_map(|i| m.rate(StreamId(i)))
+            .map(f64::to_bits)
+            .collect();
+        (rates, m.next_completion(now).expect("streams active").0)
+    }
+
+    /// Sparklike-shaped pipelined tasks: read disk `i % 2` while computing,
+    /// write the other disk.
+    fn pipelined(m: &mut FluidMachine, ids: std::ops::Range<u64>) {
+        for i in ids {
+            let mut d = StreamDemand::zero(2);
+            d.disk_read[(i % 2) as usize] = (40.0 + 7.0 * i as f64) * MIB;
+            d.cpu = 0.15 + 0.11 * i as f64;
+            d.disk_write[((i + 1) % 2) as usize] = (3.0 + i as f64) * MIB;
+            m.insert(SimTime::ZERO, StreamId(i), d);
+        }
+    }
+
+    /// Rates and deadlines of fixed stream mixes, to the last bit: any change
+    /// to the fill's floating-point operations or their order shows here
+    /// (`slowcheck` allows 1e-9 relative error, which would not catch a
+    /// last-bit drift that moves a pinned makespan).
+    #[test]
+    fn rates_and_deadlines_pinned_to_the_bit() {
+        // 10 single-threaded CPU streams share 8 cores.
+        let mut m = machine(8, 1);
+        for i in 0..10u64 {
+            let work = 1.0 + 0.37 * i as f64;
+            m.insert(SimTime::ZERO, StreamId(i), StreamDemand::cpu_only(work, 1));
+        }
+        let shared = pin(&mut m, 0..10, SimTime::ZERO);
+
+        // 5 CPU streams on 8 cores: each capped at one core.
+        let mut m = machine(8, 1);
+        for i in 0..5u64 {
+            let work = 0.5 + 0.9 * i as f64;
+            m.insert(SimTime::ZERO, StreamId(i), StreamDemand::cpu_only(work, 1));
+        }
+        let capped = pin(&mut m, 0..5, SimTime::ZERO);
+
+        // 3 readers + 2 writers on one HDD, plus NIC-only streams.
+        let mut m = machine(8, 2);
+        for i in 0..3u64 {
+            let d = StreamDemand::disk_read_only(DiskId(0), (20.0 + 5.0 * i as f64) * MIB, 2);
+            m.insert(SimTime::ZERO, StreamId(i), d);
+        }
+        for i in 3..5u64 {
+            let d = StreamDemand::disk_write_only(DiskId(0), (8.0 + 3.0 * i as f64) * MIB, 2);
+            m.insert(SimTime::ZERO, StreamId(i), d);
+        }
+        for i in 5..9u64 {
+            m.insert(
+                SimTime::ZERO,
+                StreamId(i),
+                StreamDemand::rx_only((11.0 + i as f64) * MIB, 2),
+            );
+        }
+        let hdd_rx = pin(&mut m, 0..9, SimTime::ZERO);
+
+        // Pipelined read+CPU+write streams with a CPU-bound one that frees
+        // disk bandwidth: the disk-bound stream only gets the surplus in a
+        // later filling round.
+        let mut m = machine(8, 2);
+        pipelined(&mut m, 0..6);
+        let mut a = StreamDemand::cpu_only(1.0, 2);
+        a.disk_read[0] = MIB;
+        let b = StreamDemand::disk_read_only(DiskId(1), 100.0 * MIB, 2);
+        m.insert(SimTime::ZERO, StreamId(6), a);
+        m.insert(SimTime::ZERO, StreamId(7), b);
+        let multi_round = pin(&mut m, 0..8, SimTime::ZERO);
+
+        // Fault-degraded devices: disk 1 at 0.3x, NIC at 0.5x.
+        let mut m = machine(8, 2);
+        pipelined(&mut m, 0..4);
+        for i in 4..7u64 {
+            m.insert(
+                SimTime::ZERO,
+                StreamId(i),
+                StreamDemand::rx_only((9.0 + 2.0 * i as f64) * MIB, 2),
+            );
+        }
+        m.set_disk_scale(SimTime::ZERO, 1, 0.3);
+        m.set_nic_scale(SimTime::ZERO, 0.5);
+        let degraded = pin(&mut m, 0..7, SimTime::ZERO);
+
+        // The same kind of mix after a partial drain and one removal.
+        let mut m = machine(8, 2);
+        pipelined(&mut m, 0..6);
+        for i in 6..9u64 {
+            m.insert(
+                SimTime::ZERO,
+                StreamId(i),
+                StreamDemand::rx_only((30.0 + i as f64) * MIB, 2),
+            );
+        }
+        let later = t(0.7);
+        assert!(m.take_completed(later).is_empty());
+        assert!(m.remove(later, StreamId(2)).is_some());
+        let drained = pin(&mut m, 0..9, later);
+
+        let got = [shared, capped, hdd_rx, multi_round, degraded, drained];
+        let want: [(&[u64], u64); 6] = [
+            (
+                &[
+                    0x3fe999999999999a,
+                    0x3fe2afa64e7b5416,
+                    0x3fdd6cdfa1d6cdfb,
+                    0x3fd843f170d5891a,
+                    0x3fd4a5294a5294a6,
+                    0x3fd1f7047dc11f70,
+                    0x3fcfcd1e360fe690,
+                    0x3fcc860fb0223a7a,
+                    0x3fc9dbcc48676f32,
+                    0x3fc7a6224a7e859e,
+                ],
+                1_250_000_000,
+            ),
+            (
+                &[
+                    0x4000000000000000,
+                    0x3fe6db6db6db6db7,
+                    0x3fdbd37a6f4de9be,
+                    0x3fd4000000000000,
+                    0x3fcf3831f3831f39,
+                ],
+                500_000_000,
+            ),
+            (
+                &[
+                    0x3fddd49c34115b1e,
+                    0x3fd7dd49c34115b2,
+                    0x3fd3e312cd60e76a,
+                    0x3fe18c1fa62853b8,
+                    0x3fddd49c34115b1e,
+                    0x3fff400000000000,
+                    0x3ffd696969696969,
+                    0x3ffbc71c71c71c72,
+                    0x3ffa50d79435e50d,
+                ],
+                512_000_000,
+            ),
+            (
+                &[
+                    0x3fd326210186248d,
+                    0x3fbdf51b3bea3678,
+                    0x3fcc5e69c95e6f09,
+                    0x3fb714fbcda3ac11,
+                    0x3fc68735e3acdfb5,
+                    0x3fb2c5f92c5f92c6,
+                    0x3ff0000000000000,
+                    0x3fac28f5c28f5c29,
+                ],
+                1_000_000_000,
+            ),
+            (
+                &[
+                    0x3fe3085f1b5ccca6,
+                    0x3fb3b576f8428226,
+                    0x3fdc3254029c718d,
+                    0x3fae5efa7a5e184c,
+                    0x3ff39b9b9b9b9b9b,
+                    0x3ff18b3a62ce98b3,
+                    0x3fefbefbefbefbef,
+                ],
+                816_000_000,
+            ),
+            (
+                &[
+                    0x3fe5fb3a4f580424,
+                    0x3fcf31e58c8dc0fd,
+                    0x3fc8091163e6ecd5,
+                    0x3fbcfcfcfcfcfcfd,
+                    0x3fc38c7ec8b867e0,
+                    0x3ff284bda12f684c,
+                    0x3ff2049cd42e204a,
+                    0x3ff18b3a62ce98b3,
+                ],
+                864_000_001,
+            ),
+        ];
+        for (k, ((rates, next), (want_rates, want_next))) in got.iter().zip(want).enumerate() {
+            assert_eq!(rates.as_slice(), want_rates, "mix {k} rates");
+            assert_eq!(*next, want_next, "mix {k} next completion");
+        }
     }
 
     #[test]

@@ -111,7 +111,7 @@ pub struct MonotaskDag {
 
 impl MonotaskDag {
     /// Empties the DAG, keeping the node allocation for reuse
-    /// ([`crate::decompose_into`]'s scratch-buffer contract).
+    /// ([`crate::decompose::decompose_into`]'s scratch-buffer contract).
     pub fn clear(&mut self) {
         self.nodes.clear();
     }
